@@ -3,14 +3,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "core/gmm_reldb.h"
-#include "core/hmm_reldb.h"
-#include "core/lasso_reldb.h"
-#include "core/lda_reldb.h"
-#include "exec/thread_pool.h"
+#include "golden.h"
 #include "reldb/column_batch.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
@@ -21,10 +16,9 @@
 namespace mlbench {
 namespace {
 
-using core::RunResult;
+using golden::QueryGolden;
 using reldb::AggOp;
 using reldb::AsDouble;
-using reldb::AsInt;
 using reldb::ColExpr;
 using reldb::ColumnBatch;
 using reldb::Database;
@@ -33,119 +27,107 @@ using reldb::Schema;
 using reldb::Table;
 using reldb::Tuple;
 
-// ---- Operator-level parity -------------------------------------------------
+// ---- Operator goldens ------------------------------------------------------
 //
-// Every test runs the same plan against two Databases that differ only in
-// the engine flag and demands bit-identical tuples (typed variant equality),
-// identical simulated time, and an identical RNG stream afterwards.
-
-void ExpectSameTable(const Table& a, const Table& b) {
-  ASSERT_EQ(a.schema().columns(), b.schema().columns());
-  EXPECT_EQ(a.scale(), b.scale());
-  ASSERT_EQ(a.rows().size(), b.rows().size());
-  for (std::size_t r = 0; r < a.rows().size(); ++r) {
-    // std::variant equality is type-sensitive: an int64 1 != double 1.0.
-    EXPECT_TRUE(a.rows()[r] == b.rows()[r]) << "row " << r;
-  }
-}
+// Every test runs one plan and demands a pinned result: row count, table
+// digest (typed values, so an int64 1 differs from a double 1.0), whether
+// the result is columnar, the simulated clock, and the next draw of the
+// database's RNG stream. Plans over double or wide (> 4 column) keys and
+// over mixed int/double columns pin the row operators those inputs
+// select.
 
 class EngineParity : public ::testing::Test {
  protected:
   EngineParity()
-      : sim_row_(sim::Ec2M2XLargeCluster(5)),
-        sim_col_(sim::Ec2M2XLargeCluster(5)),
-        row_(&sim_row_, sim::RelDbCosts{}, 42),
-        col_(&sim_col_, sim::RelDbCosts{}, 42) {
-    row_.set_columnar(false);
-    col_.set_columnar(true);
-
+      : sim_(sim::Ec2M2XLargeCluster(5)), db_(&sim_, sim::RelDbCosts{}, 42) {
     Table data(Schema{"data_id", "dim_id", "data_val"}, 1e6);
     for (std::int64_t p = 0; p < 40; ++p) {
       for (std::int64_t d = 0; d < 3; ++d) {
         data.Append(Tuple{p, d, static_cast<double>(10 * p + d + 1) * 0.25});
       }
     }
-    Load("data", data);
+    db_.Put("data", data);
 
     Table members(Schema{"data_id", "clus_id"}, 1e6);
     for (std::int64_t p = 0; p < 40; ++p) members.Append(Tuple{p, p % 7});
-    Load("membership", members);
+    db_.Put("membership", members);
   }
 
-  void Load(const std::string& name, const Table& t) {
-    row_.Put(name, t);
-    col_.Put(name, t);
+  void ExpectPinned(const std::function<Rel(Database&)>& plan,
+                    const QueryGolden& want) {
+    db_.BeginQuery("q");
+    Rel r = plan(db_);
+    db_.EndQuery();
+    const QueryGolden got = golden::Observe(r, db_);
+    EXPECT_EQ(got, want) << "got " << got;
   }
 
-  /// Runs `plan` on both engines and checks tuples, simulated time, and the
-  /// next RNG draw all match.
-  void ExpectParity(const std::function<Rel(Database&)>& plan) {
-    row_.BeginQuery("q");
-    Rel r = plan(row_);
-    row_.EndQuery();
-    col_.BeginQuery("q");
-    Rel c = plan(col_);
-    col_.EndQuery();
-    EXPECT_FALSE(r.columnar());
-    ExpectSameTable(r.table(), c.table());
-    EXPECT_EQ(sim_row_.elapsed_seconds(), sim_col_.elapsed_seconds());
-    EXPECT_EQ(row_.rng().NextU64(), col_.rng().NextU64());
-  }
-
-  sim::ClusterSim sim_row_, sim_col_;
-  Database row_, col_;
+  sim::ClusterSim sim_;
+  Database db_;
 };
 
 TEST_F(EngineParity, ScanEngagesConfiguredEngine) {
-  row_.BeginQuery("q");
-  col_.BeginQuery("q");
-  EXPECT_FALSE(Rel::Scan(row_, "data").columnar());
-  EXPECT_TRUE(Rel::Scan(col_, "data").columnar());
-  row_.EndQuery();
-  col_.EndQuery();
+  db_.BeginQuery("q");
+  EXPECT_TRUE(Rel::Scan(db_, "data").columnar());
+  EXPECT_TRUE(Rel::Scan(db_, "membership").columnar());
+  db_.EndQuery();
 }
 
 TEST_F(EngineParity, Filter) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Filter(
-        [](const Tuple& t) { return AsDouble(t[2]) > 17.0; });
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").Filter(
+            [](const Tuple& t) { return AsDouble(t[2]) > 17.0; });
+      },
+      {99, 0xdbb28811cc8c45d8, true, 63.012713068181817, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, FilterIntIn) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").FilterIntIn("dim_id", {0, 2});
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").FilterIntIn("dim_id", {0, 2});
+      },
+      {80, 0x927a581cc6babbba, true, 63.012713068181817, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, ProjectWithRowFunction) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Project(
-        Schema{"data_id", "sq"},
-        [](const Tuple& t) { return Tuple{t[0], AsDouble(t[2]) * AsDouble(t[2])}; });
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").Project(
+            Schema{"data_id", "sq"}, [](const Tuple& t) {
+              return Tuple{t[0], AsDouble(t[2]) * AsDouble(t[2])};
+            });
+      },
+      {120, 0x64311e99a0c5faa6, false, 63.012713068181817, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, ProjectStructuredExprs) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Project(
-        Schema{"data_id", "kind", "unit", "twice"},
-        {ColExpr::Col(0), ColExpr::Const(std::int64_t{3}), ColExpr::Const(1.5),
-         ColExpr::Fn([](const Tuple& t) { return AsDouble(t[2]) * 2.0; })});
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").Project(
+            Schema{"data_id", "kind", "unit", "twice"},
+            {ColExpr::Col(0), ColExpr::Const(std::int64_t{3}),
+             ColExpr::Const(1.5),
+             ColExpr::Fn([](const Tuple& t) { return AsDouble(t[2]) * 2.0; })});
+      },
+      {120, 0xe966eee510bc528, true, 63.012713068181817, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, Renamed) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").Renamed(Schema{"a", "b", "c"});
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").Renamed(Schema{"a", "b", "c"});
+      },
+      {120, 0xf5250c49f4b82d48, true, 63.012713068181817, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, HashJoinPackedIntKeys) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").HashJoin(Rel::Scan(db, "membership"),
-                                          {"data_id"}, {"data_id"}, 1e6);
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").HashJoin(Rel::Scan(db, "membership"),
+                                              {"data_id"}, {"data_id"}, 1e6);
+      },
+      {120, 0x51ab6c0b8982965e, true, 185.18709449110673, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, HashJoinDoubleKeyFallsBackIdentically) {
@@ -153,21 +135,25 @@ TEST_F(EngineParity, HashJoinDoubleKeyFallsBackIdentically) {
   for (std::int64_t i = 0; i < 12; ++i) {
     vals.Append(Tuple{static_cast<double>(i % 4) * 0.5, i});
   }
-  Load("vals", vals);
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "vals").HashJoin(Rel::Scan(db, "vals"), {"v"}, {"v"},
-                                          1.0);
-  });
+  db_.Put("vals", vals);
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "vals").HashJoin(Rel::Scan(db, "vals"), {"v"},
+                                              {"v"}, 1.0);
+      },
+      {36, 0xf9c3bb48556df867, false, 59.502026152375869, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, HashJoinEmptyKeysIsCrossJoin) {
   Table one(Schema{"lambda"}, 1.0);
   one.Append(Tuple{2.5});
-  Load("prior", one);
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "membership")
-        .HashJoin(Rel::Scan(db, "prior"), {}, {}, 1e6);
-  });
+  db_.Put("prior", one);
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "membership")
+            .HashJoin(Rel::Scan(db, "prior"), {}, {}, 1e6);
+      },
+      {40, 0x219231b9620d390b, true, 93.101722387236677, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, HashJoinMoreKeysThanPackWidth) {
@@ -175,248 +161,120 @@ TEST_F(EngineParity, HashJoinMoreKeysThanPackWidth) {
   for (std::int64_t i = 0; i < 30; ++i) {
     wide.Append(Tuple{i % 2, i % 3, i % 5, i % 7, i % 11, 0.5 * i});
   }
-  Load("wide", wide);
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "wide").HashJoin(Rel::Scan(db, "wide"),
-                                          {"a", "b", "c", "d", "e"},
-                                          {"a", "b", "c", "d", "e"}, 1.0);
-  });
+  db_.Put("wide", wide);
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "wide").HashJoin(Rel::Scan(db, "wide"),
+                                              {"a", "b", "c", "d", "e"},
+                                              {"a", "b", "c", "d", "e"}, 1.0);
+      },
+      {30, 0xa2324f1f4c6aa42f, false, 59.502051282542304, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, GroupByPackedIntKeysAllAggs) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").GroupBy(
-        {"dim_id"},
-        {{AggOp::kSum, "data_val", "s"},
-         {AggOp::kCount, "", "n"},
-         {AggOp::kAvg, "data_val", "m"},
-         {AggOp::kMin, "data_val", "lo"},
-         {AggOp::kMax, "data_val", "hi"}},
-        1.0);
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").GroupBy(
+            {"dim_id"},
+            {{AggOp::kSum, "data_val", "s"},
+             {AggOp::kCount, "", "n"},
+             {AggOp::kAvg, "data_val", "m"},
+             {AggOp::kMin, "data_val", "lo"},
+             {AggOp::kMax, "data_val", "hi"}},
+            1.0);
+      },
+      {3, 0xee55d58d29bca749, true, 93.814716976361765, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, GroupByDoubleKeyFallsBackIdentically) {
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data").GroupBy(
-        {"data_val"}, {{AggOp::kCount, "", "n"}}, 1.0);
-  });
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "data").GroupBy({"data_val"},
+                                             {{AggOp::kCount, "", "n"}}, 1.0);
+      },
+      {120, 0x3668d48eb3ec70d0, false, 93.814817286314209, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, GroupByFirstSeenOrderSurvivesJoin) {
-  // Group keys arrive join-ordered, not sorted; output order must match the
-  // row engine's first-seen order exactly.
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "data")
-        .HashJoin(Rel::Scan(db, "membership"), {"data_id"}, {"data_id"}, 1e6)
-        .GroupBy({"clus_id", "dim_id"}, {{AggOp::kSum, "data_val", "s"}}, 1.0);
-  });
+  // Group keys arrive join-ordered, not sorted; the output keeps the
+  // first-seen order.
+  db_.BeginQuery("q");
+  Rel r = Rel::Scan(db_, "data")
+              .HashJoin(Rel::Scan(db_, "membership"), {"data_id"},
+                        {"data_id"}, 1e6)
+              .GroupBy({"clus_id", "dim_id"},
+                       {{AggOp::kSum, "data_val", "s"}}, 1.0);
+  db_.EndQuery();
+  // The probe walks membership in data_id order and each match list keeps
+  // data's dim order, so (clus_id, dim_id) first appear as (0,0), (0,1),
+  // (0,2), (1,0), ...
+  const auto& rows = r.table().rows();
+  ASSERT_EQ(rows.size(), 21u);
+  for (std::int64_t g = 0; g < 21; ++g) {
+    EXPECT_EQ(reldb::AsInt(rows[static_cast<std::size_t>(g)][0]), g / 3);
+    EXPECT_EQ(reldb::AsInt(rows[static_cast<std::size_t>(g)][1]), g % 3);
+  }
+  const QueryGolden got = golden::Observe(r, db_);
+  const QueryGolden want{21, 0x4597a7da2667691, true, 217.63711500905154,
+                         0xd0764d4f4476689f};
+  EXPECT_EQ(got, want) << "got " << got;
 }
 
 TEST_F(EngineParity, VgApplyConsumesIdenticalRngStream) {
-  ExpectParity([](Database& db) {
-    reldb::DirichletVg vg("dim_id", "data_val");
-    return Rel::Scan(db, "data").VgApply(vg, {"data_id"}, 1e6);
-  });
+  ExpectPinned(
+      [](Database& db) {
+        reldb::DirichletVg vg("dim_id", "data_val");
+        return Rel::Scan(db, "data").VgApply(vg, {"data_id"}, 1e6);
+      },
+      {120, 0x8c1cf88b0f0f43df, true, 63.762713068181817, 0x17908d90b838b5ee});
 }
 
 TEST_F(EngineParity, VgApplyEmptyGroupCols) {
-  ExpectParity([](Database& db) {
-    reldb::CategoricalVg vg("data_id", "data_val");
-    return Rel::Scan(db, "data").VgApply(vg, {}, 1.0);
-  });
+  ExpectPinned(
+      [](Database& db) {
+        reldb::CategoricalVg vg("data_id", "data_val");
+        return Rel::Scan(db, "data").VgApply(vg, {}, 1.0);
+      },
+      {1, 0xa165e56a85e30ca6, true, 62.562713078181815, 0x519e4174576f3791});
 }
 
 TEST_F(EngineParity, UnionIncludingEmptySides) {
-  Table empty(Schema{"data_id", "dim_id", "data_val"}, 1e6);
-  Load("empty", empty);
-  ExpectParity([](Database& db) {
-    auto a = Rel::Scan(db, "data");
-    auto e = Rel::Scan(db, "empty");
-    return a.Union(e).Union(e.Union(a)).Union(a);
-  });
+  db_.Put("empty", Table(Schema{"data_id", "dim_id", "data_val"}, 1e6));
+  ExpectPinned(
+      [](Database& db) {
+        auto a = Rel::Scan(db, "data");
+        auto e = Rel::Scan(db, "empty");
+        return a.Union(e).Union(e.Union(a)).Union(a);
+      },
+      {360, 0x23d0288b8f623e86, true, 61.362713068181819, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, MaterializeRoundTrip) {
-  ExpectParity([](Database& db) {
-    Rel::Scan(db, "data").FilterIntIn("dim_id", {1}).Materialize("snap");
-    return Rel::Scan(db, "snap");
-  });
+  ExpectPinned(
+      [](Database& db) {
+        Rel::Scan(db, "data").FilterIntIn("dim_id", {1}).Materialize("snap");
+        return Rel::Scan(db, "snap");
+      },
+      {40, 0x9aff064a9cea8de8, true, 84.087855113636351, 0xd0764d4f4476689f});
 }
 
 TEST_F(EngineParity, MixedTypeColumnFallsBackToRows) {
-  // One column holds both int and double values: the batch conversion must
-  // refuse, the scan must stay row-form even on the columnar engine, and
-  // results must still agree.
+  // One column holds both int and double values: the batch conversion
+  // refuses, so the scan and every operator after it stay row-form.
   Table mixed(Schema{"id", "v"}, 1.0);
   mixed.Append(Tuple{std::int64_t{0}, std::int64_t{7}});
   mixed.Append(Tuple{std::int64_t{1}, 7.5});
   mixed.Append(Tuple{std::int64_t{2}, std::int64_t{9}});
-  Load("mixed", mixed);
+  db_.Put("mixed", mixed);
 
-  EXPECT_EQ(col_.GetColumnar("mixed"), nullptr);
-  EXPECT_FALSE(ColumnBatch::FromTable(*col_.Get("mixed")).has_value());
-
-  row_.BeginQuery("q");
-  col_.BeginQuery("q");
-  EXPECT_FALSE(Rel::Scan(col_, "mixed").columnar());
-  EXPECT_FALSE(Rel::Scan(row_, "mixed").columnar());
-  row_.EndQuery();
-  col_.EndQuery();
-  ExpectParity([](Database& db) {
-    return Rel::Scan(db, "mixed").Filter(
-        [](const Tuple& t) { return AsDouble(t[1]) > 7.2; });
-  });
-}
-
-// ---- Whole-driver parity ---------------------------------------------------
-//
-// Each reldb model driver runs once on the row engine and once columnar, at
-// 1 and at 4 host threads; every observable — simulated init/iteration
-// times, peak RAM, and the final model — must be bit-identical.
-
-void ExpectSameRun(const RunResult& a, const RunResult& b) {
-  ASSERT_TRUE(a.ok()) << a.status.ToString();
-  ASSERT_TRUE(b.ok()) << b.status.ToString();
-  EXPECT_EQ(a.init_seconds, b.init_seconds);
-  ASSERT_EQ(a.iteration_seconds.size(), b.iteration_seconds.size());
-  for (std::size_t i = 0; i < a.iteration_seconds.size(); ++i) {
-    EXPECT_EQ(a.iteration_seconds[i], b.iteration_seconds[i]) << "iter " << i;
-  }
-  EXPECT_EQ(a.peak_machine_bytes, b.peak_machine_bytes);
-}
-
-class DriverParity : public ::testing::Test {
- protected:
-  void TearDown() override {
-    exec::ThreadPool::SetGlobalThreads(1);
-    Database::SetDefaultColumnar(saved_);
-  }
-
-  /// Runs `runner` row-engine at 1 thread (the baseline), then columnar at
-  /// 1 and 4 threads, comparing each columnar run to the baseline with
-  /// `same_model`.
-  template <typename Model, typename Runner>
-  void ExpectEngineParity(
-      Runner runner,
-      const std::function<void(const Model&, const Model&)>& same_model) {
-    exec::ThreadPool::SetGlobalThreads(1);
-    Database::SetDefaultColumnar(false);
-    Model base_model;
-    RunResult base = runner(&base_model);
-
-    for (int threads : {1, 4}) {
-      exec::ThreadPool::SetGlobalThreads(threads);
-      Database::SetDefaultColumnar(true);
-      Model model;
-      RunResult run = runner(&model);
-      ExpectSameRun(base, run);
-      same_model(base_model, model);
-    }
-  }
-
- private:
-  bool saved_ = Database::DefaultColumnar();
-};
-
-void ExpectSameGmm(const models::GmmParams& a, const models::GmmParams& b) {
-  EXPECT_EQ(a.pi.raw(), b.pi.raw());
-  ASSERT_EQ(a.mu.size(), b.mu.size());
-  for (std::size_t k = 0; k < a.mu.size(); ++k) {
-    EXPECT_EQ(a.mu[k].raw(), b.mu[k].raw()) << "mu " << k;
-    for (std::size_t r = 0; r < a.sigma[k].rows(); ++r) {
-      for (std::size_t c = 0; c < a.sigma[k].cols(); ++c) {
-        EXPECT_EQ(a.sigma[k](r, c), b.sigma[k](r, c)) << "sigma " << k;
-      }
-    }
-  }
-}
-
-core::GmmExperiment SmallGmm(bool imputation) {
-  core::GmmExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 3;
-  exp.dim = 3;
-  exp.k = 2;
-  exp.config.data.logical_per_machine = 1e6;
-  exp.config.data.actual_per_machine = 200;
-  exp.config.seed = 77;
-  exp.imputation = imputation;
-  return exp;
-}
-
-TEST_F(DriverParity, Gmm) {
-  core::GmmExperiment exp = SmallGmm(false);
-  ExpectEngineParity<models::GmmParams>(
-      [&](models::GmmParams* m) { return core::RunGmmRelDb(exp, m); },
-      ExpectSameGmm);
-}
-
-TEST_F(DriverParity, GmmImputation) {
-  core::GmmExperiment exp = SmallGmm(true);
-  ExpectEngineParity<models::GmmParams>(
-      [&](models::GmmParams* m) { return core::RunGmmRelDb(exp, m); },
-      ExpectSameGmm);
-}
-
-TEST_F(DriverParity, HmmWordBased) {
-  core::HmmExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 2;
-  exp.states = 3;
-  exp.vocab = 50;
-  exp.mean_doc_len = 12;
-  exp.granularity = core::TextGranularity::kWord;
-  exp.config.data.logical_per_machine = 1e5;
-  exp.config.data.actual_per_machine = 20;
-  exp.config.seed = 19;
-  ExpectEngineParity<models::HmmParams>(
-      [&](models::HmmParams* m) { return core::RunHmmRelDb(exp, m); },
-      [](const models::HmmParams& a, const models::HmmParams& b) {
-        EXPECT_EQ(a.delta0.raw(), b.delta0.raw());
-        ASSERT_EQ(a.delta.size(), b.delta.size());
-        for (std::size_t s = 0; s < a.delta.size(); ++s) {
-          EXPECT_EQ(a.delta[s].raw(), b.delta[s].raw()) << "delta " << s;
-          EXPECT_EQ(a.psi[s].raw(), b.psi[s].raw()) << "psi " << s;
-        }
-      });
-}
-
-TEST_F(DriverParity, LdaDocumentBased) {
-  core::LdaExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 2;
-  exp.topics = 4;
-  exp.vocab = 60;
-  exp.mean_doc_len = 15;
-  exp.granularity = core::TextGranularity::kDocument;
-  exp.config.data.logical_per_machine = 1e5;
-  exp.config.data.actual_per_machine = 20;
-  exp.config.seed = 31;
-  ExpectEngineParity<models::LdaParams>(
-      [&](models::LdaParams* m) { return core::RunLdaRelDb(exp, m); },
-      [](const models::LdaParams& a, const models::LdaParams& b) {
-        ASSERT_EQ(a.phi.size(), b.phi.size());
-        for (std::size_t t = 0; t < a.phi.size(); ++t) {
-          EXPECT_EQ(a.phi[t].raw(), b.phi[t].raw()) << "topic " << t;
-        }
-      });
-}
-
-TEST_F(DriverParity, Lasso) {
-  core::LassoExperiment exp;
-  exp.config.machines = 3;
-  exp.config.iterations = 3;
-  exp.p = 8;
-  exp.config.data.actual_per_machine = 100;
-  exp.config.seed = 7;
-  ExpectEngineParity<models::LassoState>(
-      [&](models::LassoState* m) { return core::RunLassoRelDb(exp, m); },
-      [](const models::LassoState& a, const models::LassoState& b) {
-        EXPECT_EQ(a.beta.raw(), b.beta.raw());
-        EXPECT_EQ(a.inv_tau2.raw(), b.inv_tau2.raw());
-        EXPECT_EQ(a.sigma2, b.sigma2);
-      });
+  EXPECT_EQ(db_.GetColumnar("mixed"), nullptr);
+  EXPECT_FALSE(ColumnBatch::FromTable(*db_.Get("mixed")).has_value());
+  ExpectPinned(
+      [](Database& db) {
+        return Rel::Scan(db, "mixed").Filter(
+            [](const Tuple& t) { return AsDouble(t[1]) > 7.2; });
+      },
+      {2, 0xb5e1f13186dbaafa, false, 29.750000748338067, 0xd0764d4f4476689f});
 }
 
 }  // namespace

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <string>
+
+#include "exec/thread_pool.h"
 #include "reldb/sql.h"
 #include "reldb/vg_library.h"
+#include "server/runner.h"
 #include "sim/cluster_sim.h"
 
 namespace mlbench::reldb {
@@ -194,6 +200,40 @@ TEST_F(SqlTest, ChargesSimulatedTime) {
   // At least two MR jobs (scan + aggregate boundary).
   EXPECT_GE(sim_.elapsed_seconds() - before,
             2 * db_.costs().mr_job_launch_s);
+}
+
+// ---- Input-selected row operators through the server's SQL path ----------
+//
+// server::ExecuteSql runs over data(id, grp, val) with a double `val`.
+// Double keys cannot pack into the columnar hash key, so these statements
+// run the row GroupBy and the row HashJoin: the only way a request reaches
+// the row operators. Each digest is pinned at 1 and 4 host threads.
+
+void ExpectSqlPinned(const std::string& sql, std::int64_t rows,
+                     std::uint64_t digest) {
+  for (int threads : {1, 4}) {
+    exec::ThreadPool::SetGlobalThreads(threads);
+    server::SqlRequest req;
+    req.rows = 64;
+    req.sql = sql;
+    const server::SqlOutcome out = server::ExecuteSql(req);
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_EQ(out.result_rows, rows) << "threads " << threads;
+    EXPECT_EQ(out.digest, digest)
+        << "threads " << threads << ": digest 0x" << std::hex << out.digest;
+  }
+  exec::ThreadPool::SetGlobalThreads(1);
+}
+
+TEST(ExecuteSqlRowFallback, GroupByDoubleKey) {
+  ExpectSqlPinned("SELECT val, COUNT(*) FROM data GROUP BY val", 64,
+                  0x880b8064dc034d90ULL);
+}
+
+TEST(ExecuteSqlRowFallback, SelfJoinOnDoubleKey) {
+  ExpectSqlPinned(
+      "SELECT a.id, b.id, a.val FROM data a, data b WHERE a.val = b.val", 64,
+      0x4985b853cfb8b1aULL);
 }
 
 }  // namespace
