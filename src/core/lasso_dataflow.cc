@@ -6,6 +6,8 @@
 
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
+#include "exec/parallel_for.h"
+#include "linalg/blocked.h"
 
 namespace mlbench::core {
 
@@ -22,6 +24,37 @@ struct LabeledPoint {
   Vector x;
   double y;
 };
+
+/// Accumulates `points` (responses shifted by `-y_avg`) into `stats`,
+/// bit-identical to AccumulateLasso over the points in order. Gram rows
+/// are independent, so rows fan out across the host pool and each row
+/// sums its points in order; the result does not depend on the thread
+/// count.
+void AccumulateGramRows(const std::vector<std::pair<Vector, double>>& points,
+                        double y_avg, std::size_t p, LassoSuffStats* stats) {
+  stats->xtx = models::Matrix(p, p);
+  stats->xty = Vector(p);
+  const auto rows = static_cast<std::int64_t>(p);
+  exec::ParallelFor(
+      rows, exec::GrainFor(rows, exec::CostHint::kHeavy),
+      [&](const exec::Chunk& chunk) {
+        for (std::int64_t r = chunk.begin; r < chunk.end; ++r) {
+          const auto i = static_cast<std::size_t>(r);
+          double* xtx_row = stats->xtx.data() + i * p;
+          double xty = 0;
+          for (const auto& [x, y] : points) {
+            if (x[i] == 0.0) continue;
+            linalg::blocked::AddScaled(xtx_row, x.data(), x[i], p);
+            xty += x[i] * (y - y_avg);
+          }
+          stats->xty[i] = xty;
+        }
+      });
+  for (const auto& [x, y] : points) {
+    stats->n += 1;
+    stats->yty += (y - y_avg) * (y - y_avg);
+  }
+}
 
 }  // namespace
 
@@ -69,21 +102,27 @@ RunResult RunLassoDataflow(const LassoExperiment& exp,
   gram_cost.linalg_calls_per_record = 2.0;
   gram_cost.elements_per_record = 4.0 * p * p;  // (i,j,x_i x_j) tuple churn
   gram_cost.dim = exp.p;
-  // The map side accumulates per-partition partial Gram matrices (the
-  // declared cost covers the per-pair Python object handling); the shuffle
-  // moves the p^2 combined (i,j)-keyed partials per partition.
+  // The map side builds per-partition partial Gram matrices (the declared
+  // cost covers the per-pair Python object handling); the shuffle moves
+  // the p^2 combined (i,j)-keyed partials per partition. Partitions map
+  // concurrently, so the map body only carries the charges: the host
+  // accumulates the same points, regenerated in partition order, after
+  // the job.
   LassoSuffStats stats;
   {
-    auto acc = std::make_shared<LassoSuffStats>();
-    auto marker = data.Map(
-        [acc, y_avg](const LabeledPoint& d) {
-          models::AccumulateLasso(d.x, d.y - y_avg, acc.get());
-          return 0;
-        },
-        gram_cost, 8);
+    auto marker =
+        data.Map([](const LabeledPoint&) { return 0; }, gram_cost, 8);
     auto forced = marker.CountActual();
     if (!forced.ok()) return RunResult::Fail(forced.status());
-    stats = *acc;
+    std::vector<std::pair<Vector, double>> points;
+    points.reserve(static_cast<std::size_t>(
+        exp.config.machines * exp.config.data.actual_per_machine));
+    for (int part = 0; part < exp.config.machines; ++part) {
+      for (long long i = 0; i < exp.config.data.actual_per_machine; ++i) {
+        points.push_back(gen.Sample(part, i));
+      }
+    }
+    AccumulateGramRows(points, y_avg, exp.p, &stats);
     // Shuffle of the combined pair partials: p^2 entries per partition.
     double entry_bytes =
         exp.language == sim::Language::kPython ? 64.0 : 24.0;
