@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,20 +33,6 @@
 /// fails above GasCosts::max_bootable_machines.
 
 namespace mlbench::gas {
-
-/// Process-wide default for batched gather dispatch (DESIGN.md §14).
-/// Batched is on unless MLBENCH_GAS_SCALAR is set in the environment;
-/// tests and benches flip it programmatically via SetDefaultBatchedGather.
-/// Inline-function statics are a single instance across TUs, mirroring
-/// the reldb Database knob pattern.
-inline bool& BatchedGatherDefaultFlag() {
-  static bool flag = std::getenv("MLBENCH_GAS_SCALAR") == nullptr;
-  return flag;
-}
-inline bool DefaultBatchedGather() { return BatchedGatherDefaultFlag(); }
-inline void SetDefaultBatchedGather(bool on) {
-  BatchedGatherDefaultFlag() = on;
-}
 
 /// User program: gather a value from each neighbor, fold, apply.
 ///
@@ -114,11 +99,6 @@ class GasEngine {
   sim::ClusterSim& sim() { return *sim_; }
   Graph<VData>& graph() { return *graph_; }
   const sim::GasCosts& costs() const { return costs_; }
-
-  /// Whether sweeps dispatch gathers in chunks (GatherBatch) or per edge
-  /// (Gather). Defaults from the process-wide MLBENCH_GAS_SCALAR knob.
-  bool batched() const { return batched_; }
-  void set_batched(bool on) { batched_ = on; }
 
   /// GraphLab-style snapshotting: every `n` sweeps each machine writes its
   /// graph partition to distributed storage. On a machine crash the job
@@ -369,15 +349,11 @@ class GasEngine {
     // vertex has many edges (the super-vertex / hub layouts that dominate
     // sweep time), its gathers — pure reads of two vertices — are
     // materialized across the pool into an edge-indexed buffer, then folded
-    // serially in edge order. The fold order matches the streaming serial
-    // loop exactly, so results are bit-identical at any thread count.
+    // serially in edge order, so results are bit-identical at any thread
+    // count.
     //
-    // Dispatch granularity is the only difference between the two host
-    // paths: batched (the default) issues one GatherBatch virtual call per
-    // edge chunk over the graph's CSR spans; scalar (MLBENCH_GAS_SCALAR=1
-    // or set_batched(false)) issues one Gather virtual call per edge. The
-    // GatherBatch contract (see GasProgram) makes the folded results
-    // bit-identical between the two.
+    // Gathers dispatch as one GatherBatch virtual call per edge chunk over
+    // the graph's CSR spans (DESIGN.md §14).
     double flops = 0;
     // The per-vertex gather buffer is leased from the thread-local scratch
     // pool: it grows to the widest neighborhood once and is reused across
@@ -391,57 +367,29 @@ class GasEngine {
       const typename Graph<VData>::NeighborSpan nbrs = graph_->Neighbors(i);
       const std::int64_t n_edges = static_cast<std::int64_t>(nbrs.count);
       // Edge-chunk grain via the deterministic policy (pure in the edge
-      // count). Grain changes cannot perturb results here: the scalar
-      // path folds individual `gathered` elements in edge order whatever
-      // the chunking, and GatherBatch's contract (see GasProgram) makes
-      // any span decomposition fold bit-identically to the per-edge one
-      // (vertex_batch_test pins that equivalence).
+      // count). Grain changes cannot perturb results here: `gathered` is
+      // folded element by element in edge order whatever the chunking,
+      // and GatherBatch's contract (see GasProgram) makes any span
+      // decomposition fold bit-identically to the per-edge one.
       const std::int64_t edge_grain =
           exec::GrainFor(n_edges, exec::CostHint::kNormal);
-      GatherT acc{};
+      gathered.clear();
+      gathered.resize(static_cast<std::size_t>(n_edges));
       if (n_edges >= kEdgeParallelThreshold) {
-        gathered.clear();
-        gathered.resize(static_cast<std::size_t>(n_edges));
         exec::ParallelFor(n_edges, edge_grain, [&](const exec::Chunk& chunk) {
-          if (batched_) {
-            program.GatherBatch(
-                v, *graph_, nbrs.idx + chunk.begin,
-                static_cast<std::size_t>(chunk.end - chunk.begin),
-                gathered.data() + chunk.begin);
-          } else {
-            for (std::int64_t e = chunk.begin; e < chunk.end; ++e) {
-              std::size_t j = static_cast<std::size_t>(e);
-              gathered[j] = program.Gather(v, graph_->vertex(nbrs.idx[j]));
-            }
-          }
+          program.GatherBatch(
+              v, *graph_, nbrs.idx + chunk.begin,
+              static_cast<std::size_t>(chunk.end - chunk.begin),
+              gathered.data() + chunk.begin);
         });
-        acc = std::move(gathered[0]);
-        for (std::size_t j = 1; j < gathered.size(); ++j) {
-          acc = program.Merge(std::move(acc), gathered[j]);
-        }
-      } else if (batched_) {
-        // One batch spanning the whole (small) neighborhood; materialize
-        // then fold — identical order to the streaming loop below because
-        // gathers are pure and the fold is the same left fold.
-        gathered.clear();
-        gathered.resize(static_cast<std::size_t>(n_edges));
+      } else {
+        // One batch spanning the whole (small) neighborhood.
         program.GatherBatch(v, *graph_, nbrs.idx, nbrs.count,
                             gathered.data());
-        acc = std::move(gathered[0]);
-        for (std::size_t j = 1; j < gathered.size(); ++j) {
-          acc = program.Merge(std::move(acc), gathered[j]);
-        }
-      } else {
-        bool first = true;
-        for (std::size_t nidx : v.out) {
-          GatherT g = program.Gather(v, graph_->vertex(nidx));
-          if (first) {
-            acc = std::move(g);
-            first = false;
-          } else {
-            acc = program.Merge(std::move(acc), g);
-          }
-        }
+      }
+      GatherT acc = std::move(gathered[0]);
+      for (std::size_t j = 1; j < gathered.size(); ++j) {
+        acc = program.Merge(std::move(acc), gathered[j]);
       }
       program.Apply(v, acc);
       // Flops accounting streams the CSR scale array instead of re-walking
@@ -573,7 +521,6 @@ class GasEngine {
   sim::ClusterSim* sim_;
   Graph<VData>* graph_;
   sim::GasCosts costs_;
-  bool batched_ = DefaultBatchedGather();
   bool booted_ = false;
   double graph_bytes_ = 0;
   /// Sweeps between snapshot writes; <= 0 disables snapshotting.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -28,10 +27,10 @@
 ///
 /// Each stored table keeps up to two host representations of the same
 /// logical relation: the row form (Table) and the columnar form
-/// (ColumnBatch). The columnar engine (the default; see columnar()) scans
-/// the cached batch and never touches rows; the forms are converted lazily
-/// and the conversion is exact, so simulated charges and query results are
-/// bit-identical whichever representation executes.
+/// (ColumnBatch). Scans use the cached batch and never touch rows; only a
+/// table whose column mixes int and double values stays row-form. The
+/// forms are converted lazily and the conversion is exact, so simulated
+/// charges and query results do not depend on the representation.
 
 namespace mlbench::reldb {
 
@@ -39,55 +38,11 @@ class Database {
  public:
   Database(sim::ClusterSim* sim, sim::RelDbCosts costs = {},
            std::uint64_t seed = 1)
-      : sim_(sim), costs_(costs), rng_(seed), columnar_(DefaultColumnar()),
-        expr_vm_(DefaultExprVm()), vg_batch_(DefaultVgBatch()) {}
+      : sim_(sim), costs_(costs), rng_(seed) {}
 
   sim::ClusterSim& sim() { return *sim_; }
   const sim::RelDbCosts& costs() const { return costs_; }
   stats::Rng& rng() { return rng_; }
-
-  // ---- Engine selection ----------------------------------------------------
-
-  /// Process-wide default for new Database instances. Columnar execution is
-  /// on unless the MLBENCH_RELDB_ROWS environment variable forces the row
-  /// engine (the bit-identical baseline).
-  static bool DefaultColumnar() { return DefaultColumnarFlag(); }
-  static void SetDefaultColumnar(bool on) { DefaultColumnarFlag() = on; }
-
-  /// Whether Rel operators on this database run over ColumnBatch (true) or
-  /// row Tables. Either way results and charges are bit-identical; the
-  /// switch exists for the row-vs-columnar parity suite and benchmarks.
-  bool columnar() const { return columnar_; }
-  void set_columnar(bool on) { columnar_ = on; }
-
-  /// Process-wide default for the expression bytecode VM (expr_vm.h).
-  /// Compiled evaluation is on unless the MLBENCH_RELDB_INTERP environment
-  /// variable restores the tree-walking interpreter (the bit-identical
-  /// parity baseline).
-  static bool DefaultExprVm() { return DefaultExprVmFlag(); }
-  static void SetDefaultExprVm(bool on) { DefaultExprVmFlag() = on; }
-
-  /// Whether compiled expressions (Filter(ScalarExpr), ColExpr::Expr,
-  /// FilterIntIn) evaluate through the batch-fused bytecode VM (true) or
-  /// the per-row interpreter. Either way results, charges, RNG streams and
-  /// selection orders are bit-identical; the switch exists for the
-  /// VM-vs-interpreter parity suite and benchmarks.
-  bool expr_vm() const { return expr_vm_; }
-  void set_expr_vm(bool on) { expr_vm_ = on; }
-
-  /// Process-wide default for columnar VG-function execution (DESIGN.md
-  /// §14). Batched is on unless the MLBENCH_VG_TUPLES environment variable
-  /// restores the tuple-at-a-time path (the bit-identical parity baseline).
-  static bool DefaultVgBatch() { return DefaultVgBatchFlag(); }
-  static void SetDefaultVgBatch(bool on) { DefaultVgBatchFlag() = on; }
-
-  /// Whether VgApply feeds VG functions group-sorted column spans through
-  /// VgFunction::SampleBatch (true) or materializes per-group Tuple
-  /// vectors for Sample. Either way results, charges and RNG streams are
-  /// bit-identical; the switch exists for the VG parity suite and
-  /// benchmarks.
-  bool vg_batch() const { return vg_batch_; }
-  void set_vg_batch(bool on) { vg_batch_ = on; }
 
   /// Bytes of one materialized tuple with `cols` columns.
   double TupleBytes(std::size_t cols) const {
@@ -257,27 +212,9 @@ class Database {
     return it->second;
   }
 
-  static bool& DefaultColumnarFlag() {
-    static bool flag = std::getenv("MLBENCH_RELDB_ROWS") == nullptr;
-    return flag;
-  }
-
-  static bool& DefaultExprVmFlag() {
-    static bool flag = std::getenv("MLBENCH_RELDB_INTERP") == nullptr;
-    return flag;
-  }
-
-  static bool& DefaultVgBatchFlag() {
-    static bool flag = std::getenv("MLBENCH_VG_TUPLES") == nullptr;
-    return flag;
-  }
-
   sim::ClusterSim* sim_;
   sim::RelDbCosts costs_;
   stats::Rng rng_;
-  bool columnar_;
-  bool expr_vm_;
-  bool vg_batch_;
   std::unordered_map<std::string, StoredTable> tables_;
   std::int64_t job_index_ = 0;
   Status fault_status_ = Status::OK();

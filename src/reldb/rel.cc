@@ -84,10 +84,9 @@ bool Rel::EnsureBatch() const {
 }
 
 Rel Rel::Scan(Database& db, const std::string& name) {
-  std::shared_ptr<const ColumnBatch> batch;
-  if (db.columnar()) batch = db.GetColumnar(name);
+  std::shared_ptr<const ColumnBatch> batch = db.GetColumnar(name);
   Rel r = batch != nullptr ? Rel(&db, std::move(batch)) : Rel(&db, db.Get(name));
-  if (r.batch_ == nullptr && db.columnar()) r.batch_failed_ = true;
+  if (r.batch_ == nullptr) r.batch_failed_ = true;
   // Map phase reads the stored table from replicated storage.
   r.ChargeIo(r.SelfBytes());
   r.ChargeTuples(r.logical_rows(), db.costs().per_tuple_s);
@@ -140,7 +139,7 @@ Rel Rel::RowFilter(const std::function<bool(const Tuple&)>& pred) const {
 
 Rel Rel::Filter(const std::function<bool(const Tuple&)>& pred) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     const ColumnBatch& in = *batch_;
     const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
     const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
@@ -165,7 +164,7 @@ Rel Rel::Filter(const std::function<bool(const Tuple&)>& pred) const {
 Rel Rel::Filter(const ScalarExpr& pred) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
   const ExprProgram prog = ExprProgram::Compile(pred);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     const ColumnBatch& in = *batch_;
     const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
     const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
@@ -173,29 +172,13 @@ Rel Rel::Filter(const ScalarExpr& pred) const {
     std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
     sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
     for (auto& keep : sel) keep.clear();
-    if (db_->expr_vm()) {
-      // Batch-fused VM: one dispatch per opcode per chunk, straight off
-      // the typed arrays.
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        ExprProgram::Scratch scratch;
-        prog.SelectBatch(in, chunk.begin, chunk.end,
-                         &sel[static_cast<std::size_t>(chunk.index)],
-                         &scratch);
-      });
-    } else {
-      // MLBENCH_RELDB_INTERP parity baseline: the pre-VM shape — a Tuple
-      // materialized per row and the program interpreted over it.
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        auto& keep = sel[static_cast<std::size_t>(chunk.index)];
-        Tuple scratch;
-        for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-          in.MaterializeRow(static_cast<std::size_t>(i), &scratch);
-          if (prog.EvalRowPred(scratch)) {
-            keep.push_back(static_cast<std::uint32_t>(i));
-          }
-        }
-      });
-    }
+    // Batch-fused VM: one dispatch per opcode per chunk, straight off the
+    // typed arrays.
+    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
+      ExprProgram::Scratch scratch;
+      prog.SelectBatch(in, chunk.begin, chunk.end,
+                       &sel[static_cast<std::size_t>(chunk.index)], &scratch);
+    });
     return Rel(db_, std::make_shared<const ColumnBatch>(
                         in.schema(), GatherColumns(in, sel), in.scale()));
   }
@@ -205,10 +188,10 @@ Rel Rel::Filter(const ScalarExpr& pred) const {
 
 Rel Rel::FilterAll() const {
   // Same charge as a Filter that keeps everything; the output is the
-  // input relation, so both engines share its representation zero-copy
+  // input relation, so its representation (either form) is shared zero-copy
   // (operators never mutate their inputs).
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) return Rel(db_, batch_);
+  if (EnsureBatch()) return Rel(db_, batch_);
   EnsureTable();
   return Rel(db_, table_);
 }
@@ -217,7 +200,7 @@ Rel Rel::FilterIntIn(const std::string& col,
                      const std::vector<std::int64_t>& values) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
   const std::size_t c = schema().IndexOf(col);
-  if (UseColumnar() && batch_->col(c).type == ColType::kInt) {
+  if (EnsureBatch() && batch_->col(c).type == ColType::kInt) {
     const ColumnBatch& in = *batch_;
     const std::int64_t n = static_cast<std::int64_t>(in.num_rows());
     const std::int64_t grain = exec::GrainFor(n, exec::CostHint::kNormal);
@@ -225,30 +208,13 @@ Rel Rel::FilterIntIn(const std::string& col,
     std::vector<std::vector<std::uint32_t>>& sel = *sel_lease;
     sel.resize(static_cast<std::size_t>(exec::NumChunks(n, grain)));
     for (auto& keep : sel) keep.clear();
-    if (db_->expr_vm()) {
-      const ExprProgram prog =
-          ExprProgram::Compile(ScalarExpr::IntIn(c, values));
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        ExprProgram::Scratch scratch;
-        prog.SelectBatch(in, chunk.begin, chunk.end,
-                         &sel[static_cast<std::size_t>(chunk.index)],
-                         &scratch);
-      });
-    } else {
-      const auto& ints = in.col(c).ints;
-      exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
-        auto& keep = sel[static_cast<std::size_t>(chunk.index)];
-        for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-          const std::int64_t v = ints[static_cast<std::size_t>(i)];
-          for (std::int64_t want : values) {
-            if (v == want) {
-              keep.push_back(static_cast<std::uint32_t>(i));
-              break;
-            }
-          }
-        }
-      });
-    }
+    const ExprProgram prog =
+        ExprProgram::Compile(ScalarExpr::IntIn(c, values));
+    exec::ParallelFor(n, grain, [&](const exec::Chunk& chunk) {
+      ExprProgram::Scratch scratch;
+      prog.SelectBatch(in, chunk.begin, chunk.end,
+                       &sel[static_cast<std::size_t>(chunk.index)], &scratch);
+    });
     return Rel(db_, std::make_shared<const ColumnBatch>(
                         in.schema(), GatherColumns(in, sel), in.scale()));
   }
@@ -264,7 +230,7 @@ Rel Rel::FilterIntIn(const std::string& col,
 Rel Rel::Project(Schema out_schema,
                  const std::function<Tuple(const Tuple&)>& fn) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     // Generic projects compute arbitrary tuples, so the output is row-form;
     // rows bridge through a per-chunk scratch tuple without materializing
     // the whole input table. The next operator re-types the output.
@@ -315,7 +281,7 @@ Rel Rel::Project(Schema out_schema,
 
 Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     const ColumnBatch& in = *batch_;
     const std::size_t n = in.num_rows();
     std::vector<std::shared_ptr<const Column>> out_cols(exprs.size());
@@ -339,12 +305,10 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
       std::vector<std::vector<double>> computed(fn_slots.size(),
                                                 std::vector<double>(n));
       // Compiled slots run batch-fused through the VM; opaque lambda slots
-      // (and compiled slots under MLBENCH_RELDB_INTERP) share one
-      // materialized scratch Tuple per row, exactly the pre-VM shape.
-      const bool vm = db_->expr_vm();
+      // share one materialized scratch Tuple per row.
       std::vector<std::size_t> row_slots;
       for (std::size_t s = 0; s < fn_slots.size(); ++s) {
-        if (!(vm && exprs[fn_slots[s]].prog != nullptr)) row_slots.push_back(s);
+        if (exprs[fn_slots[s]].prog == nullptr) row_slots.push_back(s);
       }
       exec::ParallelFor(
           static_cast<std::int64_t>(n),
@@ -354,7 +318,7 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
             ExprProgram::Scratch scratch;
             for (std::size_t s = 0; s < fn_slots.size(); ++s) {
               const ColExpr& e = exprs[fn_slots[s]];
-              if (vm && e.prog != nullptr) {
+              if (e.prog != nullptr) {
                 e.prog->EvalBatch(
                     in, chunk.begin, chunk.end,
                     computed[s].data() + static_cast<std::size_t>(chunk.begin),
@@ -366,9 +330,8 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
               for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
                 in.MaterializeRow(static_cast<std::size_t>(i), &row);
                 for (std::size_t s : row_slots) {
-                  const ColExpr& e = exprs[fn_slots[s]];
                   computed[s][static_cast<std::size_t>(i)] =
-                      e.prog != nullptr ? e.prog->EvalRow(row) : e.fn(row);
+                      exprs[fn_slots[s]].fn(row);
                 }
               }
             }
@@ -421,7 +384,7 @@ Rel Rel::Project(Schema out_schema, const std::vector<ColExpr>& exprs) const {
 
 Rel Rel::Renamed(Schema out_schema) const {
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     return Rel(db_, std::make_shared<const ColumnBatch>(batch_->WithSchema(
                         std::move(out_schema), batch_->scale())));
   }
@@ -458,7 +421,7 @@ Rel Rel::HashJoin(const Rel& right, const std::vector<std::string>& left_keys,
   }
   Schema out_schema(std::move(out_cols));
 
-  const bool packed = UseColumnar() && right.UseColumnar() &&
+  const bool packed = EnsureBatch() && right.EnsureBatch() &&
                       CanPackKeys(*batch_, lidx) &&
                       CanPackKeys(*right.batch_, ridx);
   Rel result(db_, std::shared_ptr<Table>(nullptr));
@@ -611,7 +574,7 @@ Rel Rel::GroupBy(const std::vector<std::string>& keys,
   // accumulators and the output's key order are identical at any thread
   // count — and identical between the packed and row paths, because chunks
   // are contiguous row ranges in both.
-  if (UseColumnar() && CanPackKeys(*batch_, kidx)) {
+  if (EnsureBatch() && CanPackKeys(*batch_, kidx)) {
     const ColumnBatch& in = *batch_;
     struct ChunkGroups {
       std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
@@ -806,105 +769,77 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
   Table out(vg.output_schema(), out_scale);
   std::shared_ptr<const ColumnBatch> out_batch;
-  if (UseColumnar() && CanPackKeys(*batch_, gidx)) {
+  if (EnsureBatch() && CanPackKeys(*batch_, gidx)) {
     const ColumnBatch& in = *batch_;
-    if (db_->vg_batch()) {
-      // Columnar VG dispatch: every invocation group must be one
-      // contiguous column span, groups in first-seen order, rows in
-      // original order, so the function consumes the shared RNG exactly
-      // as the per-group tuple loop below does. Inputs produced
-      // group-major (member lists, doc-major word tables, an empty key
-      // over the whole input) already satisfy that: one adjacent-key scan
-      // verifies it — one hash insert per *group* rejects keys that
-      // reappear in a later run — and the spans then alias the input
-      // columns outright. Otherwise group-sort into fresh columns with
-      // the same first-seen hash grouping the tuple path uses.
-      const std::size_t n_rows = in.num_rows();
-      std::vector<std::uint32_t> group_offsets{0};
-      bool pre_grouped = true;
-      {
-        std::unordered_set<PackedKey, PackedKeyHash> seen;
-        PackedKey prev{};
-        for (std::size_t r = 0; r < n_rows; ++r) {
-          PackedKey key = PackRowKey(in, gidx, r);
-          if (r == 0 || !(key == prev)) {
-            if (!seen.insert(key).second) {
-              pre_grouped = false;
-              break;
-            }
-            if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
-            prev = key;
+    // Columnar VG dispatch: every invocation group must be one contiguous
+    // column span, groups in first-seen order, rows in original order, so
+    // the function consumes the shared RNG exactly as the row path's
+    // per-group loop below does. Inputs produced group-major (member
+    // lists, doc-major word tables, an empty key over the whole input)
+    // already satisfy that: one adjacent-key scan verifies it — one hash
+    // insert per *group* rejects keys that reappear in a later run — and
+    // the spans then alias the input columns outright. Otherwise
+    // group-sort into fresh columns with the same first-seen grouping.
+    const std::size_t n_rows = in.num_rows();
+    std::vector<std::uint32_t> group_offsets{0};
+    bool pre_grouped = true;
+    {
+      std::unordered_set<PackedKey, PackedKeyHash> seen;
+      PackedKey prev{};
+      for (std::size_t r = 0; r < n_rows; ++r) {
+        PackedKey key = PackRowKey(in, gidx, r);
+        if (r == 0 || !(key == prev)) {
+          if (!seen.insert(key).second) {
+            pre_grouped = false;
+            break;
           }
+          if (r != 0) group_offsets.push_back(static_cast<std::uint32_t>(r));
+          prev = key;
         }
       }
-      ColumnBatch grouped;
-      if (pre_grouped) {
-        if (n_rows > 0) {
-          group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
-        }
-        std::vector<std::shared_ptr<const Column>> cols;
-        cols.reserve(in.num_cols());
-        for (std::size_t c = 0; c < in.num_cols(); ++c) {
-          cols.push_back(in.col_ptr(c));
-        }
-        grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
-      } else {
-        std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
-        std::vector<std::vector<std::uint32_t>> group_rows;
-        for (std::size_t r = 0; r < n_rows; ++r) {
-          auto [it, inserted] = slots.try_emplace(
-              PackRowKey(in, gidx, r),
-              static_cast<std::uint32_t>(group_rows.size()));
-          if (inserted) group_rows.emplace_back();
-          group_rows[it->second].push_back(static_cast<std::uint32_t>(r));
-        }
-        group_offsets.assign(group_rows.size() + 1, 0);
-        for (std::size_t g = 0; g < group_rows.size(); ++g) {
-          group_offsets[g + 1] =
-              group_offsets[g] +
-              static_cast<std::uint32_t>(group_rows[g].size());
-        }
-        grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
-                              in.scale());
+    }
+    ColumnBatch grouped;
+    if (pre_grouped) {
+      if (n_rows > 0) {
+        group_offsets.push_back(static_cast<std::uint32_t>(n_rows));
       }
-      const std::size_t n_groups = group_offsets.size() - 1;
-      const std::size_t hint =
-          n_groups == 0 ? 0 : n_groups * vg.OutRowsHint(n_rows / n_groups);
-      VgBatchOut vout;
-      vout.rows.reserve(hint);
-      vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
-      if (vout.columnar) {
-        out_batch = std::make_shared<const ColumnBatch>(
-            vg.output_schema(), std::move(vout.cols), out_scale);
-      } else {
-        // Fallback default went through Sample: adopt its rows wholesale.
-        out.rows() = std::move(vout.rows);
+      std::vector<std::shared_ptr<const Column>> cols;
+      cols.reserve(in.num_cols());
+      for (std::size_t c = 0; c < in.num_cols(); ++c) {
+        cols.push_back(in.col_ptr(c));
       }
+      grouped = ColumnBatch(in.schema(), std::move(cols), in.scale());
     } else {
-      // Group row indices by packed key in first-seen order (an empty key
-      // packs as n = 0, one group over the whole input — same as the row
-      // engine's empty-Tuple key).
       std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> slots;
       std::vector<std::vector<std::uint32_t>> group_rows;
-      for (std::size_t r = 0; r < in.num_rows(); ++r) {
+      for (std::size_t r = 0; r < n_rows; ++r) {
         auto [it, inserted] = slots.try_emplace(
             PackRowKey(in, gidx, r),
             static_cast<std::uint32_t>(group_rows.size()));
         if (inserted) group_rows.emplace_back();
         group_rows[it->second].push_back(static_cast<std::uint32_t>(r));
       }
-      const std::size_t n_groups = group_rows.size();
-      out.Reserve(n_groups == 0
-                      ? 0
-                      : n_groups * vg.OutRowsHint(in.num_rows() / n_groups));
-      std::vector<Tuple> params;
-      for (const auto& rows_in_group : group_rows) {
-        params.resize(rows_in_group.size());
-        for (std::size_t j = 0; j < rows_in_group.size(); ++j) {
-          in.MaterializeRow(rows_in_group[j], &params[j]);
-        }
-        vg.Sample(params, schema(), db_->rng(), &out.rows());
+      group_offsets.assign(group_rows.size() + 1, 0);
+      for (std::size_t g = 0; g < group_rows.size(); ++g) {
+        group_offsets[g + 1] =
+            group_offsets[g] +
+            static_cast<std::uint32_t>(group_rows[g].size());
       }
+      grouped = ColumnBatch(in.schema(), GatherColumns(in, group_rows),
+                            in.scale());
+    }
+    const std::size_t n_groups = group_offsets.size() - 1;
+    const std::size_t hint =
+        n_groups == 0 ? 0 : n_groups * vg.OutRowsHint(n_rows / n_groups);
+    VgBatchOut vout;
+    vout.rows.reserve(hint);
+    vg.SampleBatch(grouped, group_offsets, db_->rng(), &vout);
+    if (vout.columnar) {
+      out_batch = std::make_shared<const ColumnBatch>(
+          vg.output_schema(), std::move(vout.cols), out_scale);
+    } else {
+      // Fallback default went through Sample: adopt its rows wholesale.
+      out.rows() = std::move(vout.rows);
     }
   } else {
     // Partition parameter rows into invocation groups (stable order).
@@ -947,7 +882,7 @@ Rel Rel::VgApply(VgFunction& vg, const std::vector<std::string>& group_cols,
 
 Rel Rel::Union(const Rel& other) const {
   MLBENCH_CHECK(schema().size() == other.schema().size());
-  if (UseColumnar() && other.UseColumnar()) {
+  if (EnsureBatch() && other.EnsureBatch()) {
     const ColumnBatch& a = *batch_;
     const ColumnBatch& b = *other.batch_;
     if (b.num_rows() == 0) return Rel(db_, batch_);
@@ -996,7 +931,7 @@ Rel Rel::Union(const Rel& other) const {
 void Rel::Materialize(const std::string& name) const {
   ChargeIo(SelfBytes());
   ChargeTuples(logical_rows(), db_->costs().per_tuple_s);
-  if (UseColumnar()) {
+  if (EnsureBatch()) {
     db_->PutBatch(name, batch_, table_);
   } else {
     db_->Put(name, *table_);

@@ -22,18 +22,19 @@
 /// storage I/O for every materialization boundary — the cost structure of
 /// SimSQL-on-Hadoop the paper measures.
 ///
-/// Host execution has two interchangeable engines. The row engine walks
-/// vector<Tuple> directly; the columnar engine (default, see
-/// Database::columnar()) runs the same operators over ColumnBatch — typed
-/// contiguous arrays, selection-vector filters, index-gather projects, and
-/// join/group-by hash tables keyed on packed fixed-width integers. Both
-/// engines charge the simulator from logical row counts and schema widths
-/// only (never from the host representation), commit host-parallel chunks
-/// in chunk-index order, and invoke VG functions serially in first-seen
-/// group order against the shared RNG stream — so results, draw streams
-/// and simulated charges are bit-identical between engines and across
-/// MLBENCH_THREADS settings. A relation whose column mixes int and double
-/// values cannot be typed; those operators fall back to the row engine.
+/// Host execution is columnar: operators run over ColumnBatch — typed
+/// contiguous arrays, selection-vector filters, index-gather projects,
+/// compiled expressions through the bytecode VM (expr_vm.h), and
+/// join/group-by/VG hash tables keyed on packed fixed-width integers. The
+/// input selects the row operators (vector<Tuple>) in three cases only: a
+/// relation whose column mixes int and double values cannot be typed, and
+/// join, group-by and VG keys that are double or wider than four columns
+/// cannot be packed. Both forms charge the simulator from logical row
+/// counts and schema widths only (never from the host representation),
+/// commit host-parallel chunks in chunk-index order, and invoke VG
+/// functions serially in first-seen group order against the shared RNG
+/// stream — so results, draw streams and simulated charges are
+/// bit-identical across MLBENCH_THREADS settings.
 ///
 /// Usage follows the SQL structure of the paper's codes:
 ///
@@ -115,8 +116,7 @@ class Rel {
   double logical_rows() const {
     return batch_ ? batch_->logical_rows() : table_->logical_rows();
   }
-  /// True when this relation currently holds a columnar batch (parity
-  /// tests assert the columnar engine actually engaged).
+  /// True when this relation currently holds a columnar batch.
   bool columnar() const { return batch_ != nullptr; }
 
   /// Keeps rows satisfying `pred` (narrow, pipelined).
@@ -187,10 +187,9 @@ class Rel {
   /// Lazily materializes (and caches) the row form.
   const Table* EnsureTable() const;
   /// Lazily converts (and caches) the columnar form; false when a column
-  /// mixes value types (the failure is cached too).
+  /// mixes value types (the failure is cached too). Operators run columnar
+  /// exactly when this returns true.
   bool EnsureBatch() const;
-  /// Whether this operator invocation should run columnar.
-  bool UseColumnar() const { return db_->columnar() && EnsureBatch(); }
 
   /// Row-engine filter body shared by Filter and fallbacks (no charges).
   Rel RowFilter(const std::function<bool(const Tuple&)>& pred) const;
