@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "core/gmm_bsp.h"
 #include "core/gmm_dataflow.h"
@@ -52,6 +53,10 @@ struct PlatformCase {
   Runner runner;
   bool super;
 };
+
+// Print only the name, so the test name that CTest discovers from
+// --gtest_list_tests does not embed pointer bytes that ASLR moves per build.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 class GmmPlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 

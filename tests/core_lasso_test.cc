@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "core/lasso_bsp.h"
 #include "core/lasso_dataflow.h"
@@ -44,6 +45,10 @@ struct PlatformCase {
   Runner runner;
   bool super;
 };
+
+// Print only the name, so the test name that CTest discovers from
+// --gtest_list_tests does not embed pointer bytes that ASLR moves per build.
+void PrintTo(const PlatformCase& c, std::ostream* os) { *os << c.name; }
 
 class LassoPlatformSweep : public ::testing::TestWithParam<PlatformCase> {};
 

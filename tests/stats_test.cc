@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 
 #include "stats/distributions.h"
 #include "stats/rng.h"
@@ -60,6 +61,10 @@ struct MomentParams {
   double tol_var;
   double (*draw)(Rng&);
 };
+
+// Print only the name, so the test name that CTest discovers from
+// --gtest_list_tests does not embed pointer bytes that ASLR moves per build.
+void PrintTo(const MomentParams& p, std::ostream* os) { *os << p.name; }
 
 class MomentSweep : public ::testing::TestWithParam<MomentParams> {};
 
