@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "models/imputation.h"
 
@@ -80,9 +81,8 @@ GmmMsg CombineMsgs(const GmmMsg& a, const GmmMsg& b) {
 }  // namespace
 
 RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   GmmDataGen gen(exp.config.seed, exp.k, exp.dim);
@@ -164,7 +164,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
   if (!super) engine.SetOutOfCoreMessages(true);
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   // ---- Initialization: hyper moments via one aggregation superstep --------
   GmmHyper hyper = models::EmpiricalHyper(exp.k, all_points);
@@ -180,11 +180,11 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
           }
         },
         cost, "hyper moments");
-    if (!st.ok()) return RunResult::Fail(st);
+    if (!st.ok()) return run.Fail(st);
   }
   stats::Rng rng(exp.config.seed ^ 0xB59);
   auto prior = models::SamplePrior(rng, hyper);
-  if (!prior.ok()) return RunResult::Fail(prior.status());
+  if (!prior.ok()) return run.Fail(prior.status());
   for (std::size_t c = 0; c < exp.k; ++c) {
     auto& vd = engine.vertex(c).data;
     vd.mu = prior->mu[c];
@@ -193,9 +193,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
   }
   engine.vertex(exp.k).data.pi = prior->pi;
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations: three supersteps each -----------------------------------
   // S0: clusters broadcast <mu, Sigma, pi_k> to every data vertex.
@@ -209,11 +207,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
        (exp.imputation ? PaperImputeElements(exp.dim) : 0.0)) *
       8.0;  // Mallet temporaries
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0xBEEF + iter);
 
     // S0: model broadcast.
@@ -241,7 +235,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
           }
         },
         bc_cost, "broadcast model");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
 
     // S1: membership sampling + stats messages.
     bsp::ComputeCost sample_cost;
@@ -323,7 +317,7 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
           }
         },
         sample_cost, "sample memberships");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
 
     // S2: cluster posterior draws + counts to the mixture vertex; the
     // mixture vertex re-draws pi from last iteration's counts.
@@ -371,10 +365,9 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
           }
         },
         update_cost, "update model");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) {
     GmmParams params;
@@ -392,9 +385,8 @@ RunResult RunGmmBsp(const GmmExperiment& exp, models::GmmParams* final_model) {
     *final_model = params;
   }
   engine.Shutdown();
+  RunResult result = run.Finish();
   result.peak_machine_bytes = sim.peak_bytes();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "models/imputation.h"
 #include "gas/engine.h"
@@ -273,9 +274,8 @@ class GmmProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunGmmGas(const GmmExperiment& exp,
                     models::GmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   GmmDataGen gen(exp.config.seed, exp.k, exp.dim);
   const double d = static_cast<double>(exp.dim);
   const long long n_act = exp.config.data.actual_per_machine;
@@ -357,7 +357,7 @@ RunResult RunGmmGas(const GmmExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   // Hyperparameters via map_reduce_vertices; prior draw via
   // transform_vertices on the model vertices.
@@ -378,7 +378,7 @@ RunResult RunGmmGas(const GmmExperiment& exp,
 
   stats::Rng init_rng(exp.config.seed ^ 0x6A5);
   auto prior = models::SamplePrior(init_rng, hyper);
-  if (!prior.ok()) return RunResult::Fail(prior.status());
+  if (!prior.ok()) return run.Fail(prior.status());
   engine.TransformVertices(
       [&](gas::Graph<VData>::Vertex& v) {
         if (v.data.kind == VData::Kind::kCluster) {
@@ -390,9 +390,7 @@ RunResult RunGmmGas(const GmmExperiment& exp,
       },
       0, "init model");
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations: one gather-apply-scatter sweep each ---------------------
   double flops_per_point = PaperMembershipCppFlops(exp.k, exp.dim) +
@@ -401,19 +399,14 @@ RunResult RunGmmGas(const GmmExperiment& exp,
     flops_per_point += PaperImputeFlops(exp.dim) +
                        CppCallEquivalentFlops(PaperImputeCalls());
   }
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     GmmProgram program(hyper, exp.config.seed, iter,
                        flops_per_point * points_per_vertex_logical);
     program.set_count_scale(logical_points * machines /
                             static_cast<double>(total_points));
-    Status st = engine.RunSweep<Gathered>(program, "gmm iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return engine.RunSweep<Gathered>(program, "gmm iteration");
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) {
     GmmParams params;
@@ -427,9 +420,8 @@ RunResult RunGmmGas(const GmmExperiment& exp,
     }
     *final_model = params;
   }
+  RunResult result = run.Finish();
   result.peak_machine_bytes = sim.peak_bytes();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "models/imputation.h"
 #include "reldb/database.h"
@@ -409,9 +410,8 @@ void ChargeModelBroadcast(Database& db, std::size_t k, std::size_t dim) {
 
 RunResult RunGmmRelDb(const GmmExperiment& exp,
                       models::GmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Database db(&sim, sim::RelDbCosts{}, exp.config.seed);
   GmmDataGen gen(exp.config.seed, exp.k, exp.dim);
 
@@ -481,7 +481,7 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
   // clus_model[0] from the prior.
   stats::Rng init_rng(exp.config.seed ^ 0x51);
   auto prior = models::SamplePrior(init_rng, hyper);
-  if (!prior.ok()) return RunResult::Fail(prior.status());
+  if (!prior.ok()) return run.Fail(prior.status());
   Table model0(Schema{"clus_id", "kind", "d1", "d2", "val"}, 1.0);
   model0.Reserve(exp.k * (exp.dim + exp.dim * exp.dim));
   for (std::size_t c = 0; c < exp.k; ++c) {
@@ -527,9 +527,7 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
     db.EndQuery();
   }
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations ----------------------------------------------------------
   GmmParams params = std::move(*prior);
@@ -539,15 +537,10 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
   double membership_flops = PaperMembershipCppFlops(exp.k, exp.dim);
   double super_flops = CachedMembershipCppFlops(exp.k, exp.dim);
 
-  for (int i = 1; i <= exp.config.iterations; ++i) {
-    if (Status hs = exp.config.IterationBoundary(i - 1); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate(db.fault_status(), [&](int iter) -> Status {
+    const int i = iter + 1;
     auto sampler_r = models::GmmMembershipSampler::Build(params);
-    if (!sampler_r.ok()) {
-      return RunResult::Fail(sampler_r.status(), result.init_seconds);
-    }
+    if (!sampler_r.ok()) return sampler_r.status();
     auto sampler = std::make_shared<models::GmmMembershipSampler>(
         std::move(*sampler_r));
 
@@ -723,19 +716,13 @@ RunResult RunGmmRelDb(const GmmExperiment& exp,
     db.DropVersionsBefore("clus_prob", i);
 
     params = ReadModel(db, i, exp.k, exp.dim);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!post_vg.status().ok()) {
-      return RunResult::Fail(post_vg.status(), result.init_seconds);
-    }
-    if (!db.fault_status().ok()) {
-      return RunResult::Fail(db.fault_status(), result.init_seconds);
-    }
-  }
+    return post_vg.status();
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) *final_model = params;
+  RunResult result = run.Finish();
   result.peak_machine_bytes = sim.peak_bytes();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
   return result;
 }
 

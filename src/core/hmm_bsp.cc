@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/cell_run.h"
 #include "core/workloads.h"
 
 namespace mlbench::core {
@@ -38,9 +39,8 @@ using Engine = bsp::BspEngine<VData, HmmMsg>;
 
 RunResult RunHmmBsp(const HmmExperiment& exp,
                     models::HmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
@@ -127,7 +127,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
   });
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   HmmParams params = models::SampleHmmPrior(init_rng, hyper);
   for (std::size_t s = 0; s < exp.states; ++s) {
@@ -136,18 +136,12 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
     vd.delta = params.delta[s];
   }
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   WordCost wc =
       HmmWordCost(sim::Language::kJava, exp.granularity, exp.states);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x4A60u + iter);
 
     if (word_based) {
@@ -166,15 +160,13 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
             ctx.SendReplicated(vx.id, HmmMsg{}, 24.0, 2.0 * vx.scale);
           },
           cost, "word states");
-      if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+      if (!st.ok()) return st;
       st = engine.RunSuperstep(
           [](Engine::Vertex&, const std::vector<HmmMsg>&, Engine::Context&) {
           },
           {}, "word states consume");
-      if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-      return RunResult::Fail(
-          Status::Internal("word-based Giraph HMM unexpectedly survived"),
-          result.init_seconds);
+      if (!st.ok()) return st;
+      return Status::Internal("word-based Giraph HMM unexpectedly survived");
     }
 
     // S0: state vertices re-draw their rows from last superstep's count
@@ -209,7 +201,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
                         model_bytes / k);
         },
         {}, "model publish");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
 
     // S1: data vertices re-sample and send combined count partials.
     bsp::ComputeCost cost;
@@ -256,10 +248,9 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
           }
         },
         cost, "resample + counts");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   // Final fold of the last counts into the returned model.
   if (final_model != nullptr) {
@@ -273,9 +264,7 @@ RunResult RunHmmBsp(const HmmExperiment& exp,
     *final_model = models::SampleHmmPosterior(frng, hyper, counts);
   }
   engine.Shutdown();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
 
@@ -34,9 +35,8 @@ struct CountVec {
 
 RunResult RunHmmDataflow(const HmmExperiment& exp,
                          models::HmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   dataflow::ContextOptions opts;
   opts.evict_cache_on_pressure = exp.config.faults.evict_cache_on_pressure;
   opts.language = exp.language;
@@ -92,7 +92,7 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
     auto n = joined.CountActual();
     // The paper could not run this at benchmark scale.
     if (!n.ok()) return RunResult::Fail(n.status(), sim.elapsed_seconds());
-    return RunResult::Fail(
+    return run.Fail(
         Status::Internal("word-based Spark HMM unexpectedly survived"));
   }
 
@@ -129,16 +129,12 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
       /*parse_flops=*/2.0 * words_per_doc * docs_per_chunk);
   data.Cache();
   auto forced = data.CountActual();
-  if (!forced.ok()) return RunResult::Fail(forced.status());
-  if (!dctx.lifetime_status().ok()) {
-    return RunResult::Fail(dctx.lifetime_status());
-  }
+  if (!forced.ok()) return run.Fail(forced.status());
+  if (!dctx.lifetime_status().ok()) return run.Fail(dctx.lifetime_status());
 
   HmmParams params = models::SampleHmmPrior(init_rng, hyper);
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations -----------------------------------------------------------
   WordCost wc = HmmWordCost(exp.language, exp.granularity, exp.states);
@@ -153,11 +149,7 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
       (k * exp.vocab + k * k + k) * model_entry_bytes;
   const double count_bytes = model_entry_bytes;
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate(dctx.fault_status(), [&](int iter) -> Status {
     auto params_ptr = std::make_shared<HmmParams>(params);
     std::uint64_t iter_seed = exp.config.seed ^ (0x4A40u + iter);
 
@@ -204,11 +196,11 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
     Status bc = dctx.BroadcastClosure(model_bytes);
     if (!bc.ok()) {
       dctx.EndJob();
-      return RunResult::Fail(bc, result.init_seconds);
+      return bc;
     }
     auto rows = reduced.CollectNoJob();
     dctx.EndJob();
-    if (!rows.ok()) return RunResult::Fail(rows.status(), result.init_seconds);
+    if (!rows.ok()) return rows.status();
 
     // Driver: sample delta / Psi from the aggregated counts (two more
     // lightweight jobs in the paper's structure).
@@ -235,17 +227,12 @@ RunResult RunHmmDataflow(const HmmExperiment& exp,
     // re-sampling cost was charged in the flatMap; this pass re-caches).
     dctx.BeginJob("hmm:update_state", data.num_partitions());
     dctx.EndJob();
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!dctx.fault_status().ok()) {
-      return RunResult::Fail(dctx.fault_status(), result.init_seconds);
-    }
-  }
+    return Status::OK();
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) *final_model = params;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

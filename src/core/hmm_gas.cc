@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
 
@@ -188,9 +189,8 @@ class HmmProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunHmmGas(const HmmExperiment& exp,
                     models::HmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
   models::HmmHyper hyper{exp.states, exp.vocab, 1.0, 0.1};
   const int machines = exp.config.machines;
@@ -246,7 +246,7 @@ RunResult RunHmmGas(const HmmExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   HmmParams params = models::SampleHmmPrior(init_rng, hyper);
   engine.TransformVertices(
@@ -259,9 +259,7 @@ RunResult RunHmmGas(const HmmExperiment& exp,
       },
       0, "init model");
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   WordCost wc =
       HmmWordCost(sim::Language::kCpp, exp.granularity, exp.states);
@@ -269,17 +267,12 @@ RunResult RunHmmGas(const HmmExperiment& exp,
   // the paper's 20:39 cell).
   double word_flops = wc.flops + CppCallEquivalentFlops(3.0);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     HmmProgram program(hyper, exp.config.seed, iter, word_flops,
                        words_per_super);
-    Status st = engine.RunSweep<Gathered>(program, "hmm iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return engine.RunSweep<Gathered>(program, "hmm iteration");
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) {
     HmmParams out = params;
@@ -293,9 +286,7 @@ RunResult RunHmmGas(const HmmExperiment& exp,
     if (total > 0) out.delta0 /= total;
     *final_model = out;
   }
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

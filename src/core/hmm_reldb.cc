@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
@@ -123,9 +124,8 @@ class StateVg : public reldb::VgFunction {
 
 RunResult RunHmmRelDb(const HmmExperiment& exp,
                       models::HmmParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Database db(&sim, sim::RelDbCosts{}, exp.config.seed);
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
   models::HmmHyper hyper{exp.states, exp.vocab, 1.0, 0.1};
@@ -197,20 +197,15 @@ RunResult RunHmmRelDb(const HmmExperiment& exp,
 
   HmmParams params = models::SampleHmmPrior(init_rng, hyper);
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations -----------------------------------------------------------
   WordCost wc = HmmWordCost(sim::Language::kCpp, exp.granularity,
                             exp.states);
   double word_flops = wc.flops + CppCallEquivalentFlops(wc.calls);
 
-  for (int i = 1; i <= exp.config.iterations; ++i) {
-    if (Status hs = exp.config.IterationBoundary(i - 1); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate(db.fault_status(), [&](int iter) -> Status {
+    const int i = iter + 1;
     auto params_ptr = std::make_shared<HmmParams>(params);
 
     // Query 1: states[i].
@@ -310,16 +305,12 @@ RunResult RunHmmRelDb(const HmmExperiment& exp,
       sim.EndPhase();
     }
     db.DropVersionsBefore("states", i);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!db.fault_status().ok()) {
-      return RunResult::Fail(db.fault_status(), result.init_seconds);
-    }
-  }
+    return Status::OK();
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) *final_model = params;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/cell_run.h"
 #include "core/workloads.h"
 
 namespace mlbench::core {
@@ -35,9 +36,8 @@ using Engine = bsp::BspEngine<VData, LassoMsg>;
 
 RunResult RunLassoBsp(const LassoExperiment& exp,
                       models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   LassoDataGen gen(exp.config.seed, exp.p);
@@ -116,7 +116,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   });
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   // ---- Initialization: Gram matrix collection ------------------------------
   // Naive: every data vertex materializes x x^T (p^2 doubles = 8 MB of
@@ -142,18 +142,16 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           ctx.Send(1, std::move(msg), p * 8.0 + 32.0);
         },
         cost, "gram collection");
-    if (!st.ok()) return RunResult::Fail(st);
+    if (!st.ok()) return run.Fail(st);
   }
 
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A53);
   auto init = models::InitLasso(rng, hyper);
-  if (!init.ok()) return RunResult::Fail(init.status());
+  if (!init.ok()) return run.Fail(init.status());
   *model_state = std::move(*init);
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations: two supersteps each --------------------------------------
   // S0: model vertex broadcasts beta to data vertices.
@@ -162,11 +160,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
   // The chain runs at actual-sample scale, matching the Gram statistics.
   double sse_scale = 1.0;
   (void)n_logical;
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x1A54u + iter);
 
     bsp::ComputeCost model_cost;
@@ -199,7 +193,7 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           }
         },
         model_cost, "model update + broadcast");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
     // The model vertex's tau draws + p^3 solve run single-threaded on its
     // machine at Java speed.
     sim.BeginPhase("bsp:lasso model linalg");
@@ -232,15 +226,12 @@ RunResult RunLassoBsp(const LassoExperiment& exp,
           ctx.Send(kModelId, std::move(msg), 16.0);
         },
         resid_cost, "residual partials");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_state != nullptr) *final_state = *model_state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
@@ -84,9 +85,8 @@ class BetaVg : public reldb::VgFunction {
 
 RunResult RunLassoRelDb(const LassoExperiment& exp,
                         models::LassoState* final_state) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Database db(&sim, sim::RelDbCosts{}, exp.config.seed);
   LassoDataGen gen(exp.config.seed, exp.p);
 
@@ -158,7 +158,7 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
   LassoHyper hyper{exp.p, 1.0};
   stats::Rng rng(exp.config.seed ^ 0x1A51);
   auto state = models::InitLasso(rng, hyper);
-  if (!state.ok()) return RunResult::Fail(state.status());
+  if (!state.ok()) return run.Fail(state.status());
 
   // prior / sigma / beta tables.
   db.Put("prior", [] {
@@ -167,16 +167,11 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
     return t;
   }());
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   // ---- Iterations -----------------------------------------------------------
-  for (int i = 1; i <= exp.config.iterations; ++i) {
-    if (Status hs = exp.config.IterationBoundary(i - 1); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate(db.fault_status(), [&](int iter) -> Status {
+    const int i = iter + 1;
 
     // tau[i]: one InvGaussian draw per regressor (paper's CREATE TABLE
     // tau[i] with the beta[i-1] |x| sigma[i-1] |x| prior join).
@@ -253,16 +248,12 @@ RunResult RunLassoRelDb(const LassoExperiment& exp,
     db.DropVersionsBefore("beta", i - 1);
     db.DropVersionsBefore("tau", i);
     db.DropVersionsBefore("sigma", i);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!db.fault_status().ok()) {
-      return RunResult::Fail(db.fault_status(), result.init_seconds);
-    }
-  }
+    return Status::OK();
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_state != nullptr) *final_state = *state;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bsp/engine.h"
+#include "core/cell_run.h"
 #include "core/workloads.h"
 
 namespace mlbench::core {
@@ -42,9 +43,8 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
     return RunResult::Fail(
         Status::Unimplemented("word-based Giraph LDA not attempted (NA)"));
   }
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   Engine engine(&sim);
   engine.SetCheckpointInterval(exp.config.faults.checkpoint_interval);
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
@@ -117,16 +117,14 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
   });
 
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   LdaParams params = models::SampleLdaPrior(init_rng, hyper);
   for (std::size_t tt = 0; tt < exp.topics; ++tt) {
     engine.vertex(tt).data.phi = params.phi[tt];
   }
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   WordCost wc =
       LdaWordCost(sim::Language::kJava, exp.granularity, exp.topics);
@@ -134,11 +132,7 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
   // sampling loop (calibrated to the paper's 22:22 / 18:49 cells).
   wc.calls = exp.granularity == TextGranularity::kSuperVertex ? 0.85 : 1.0;
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     std::uint64_t iter_seed = exp.config.seed ^ (0x7DD0u + iter);
 
     // S0: topic vertices re-draw phi_t from last superstep's partials and
@@ -171,7 +165,7 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
                         model_bytes / t);
         },
         {}, "phi publish");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
+    if (!st.ok()) return st;
 
     // S1: data vertices re-sample (z, theta) and send combined partials.
     bsp::ComputeCost cost;
@@ -223,10 +217,9 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
           }
         },
         cost, "resample + counts");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return st;
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) {
     LdaCounts counts(exp.topics, exp.vocab);
@@ -241,9 +234,7 @@ RunResult RunLdaBsp(const LdaExperiment& exp,
     *final_model = models::SampleLdaPosterior(frng, hyper, counts);
   }
   engine.Shutdown();
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

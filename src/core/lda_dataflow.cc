@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "dataflow/rdd.h"
 
@@ -32,9 +33,8 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
     return RunResult::Fail(
         Status::Unimplemented("word-based Spark LDA not attempted (NA)"));
   }
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   dataflow::ContextOptions opts;
   opts.evict_cache_on_pressure = exp.config.faults.evict_cache_on_pressure;
   opts.language = exp.language;
@@ -80,17 +80,13 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
       /*parse_flops=*/2.0 * words_per_doc * docs_per_chunk);
   data.Cache();
   auto forced = data.CountActual();
-  if (!forced.ok()) return RunResult::Fail(forced.status());
-  if (!ctx.lifetime_status().ok()) {
-    return RunResult::Fail(ctx.lifetime_status());
-  }
+  if (!forced.ok()) return run.Fail(forced.status());
+  if (!ctx.lifetime_status().ok()) return run.Fail(ctx.lifetime_status());
 
   stats::Rng rng(exp.config.seed ^ 0x7DA2);
   LdaParams params = models::SampleLdaPrior(rng, hyper);
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   WordCost wc = LdaWordCost(exp.language, exp.granularity, exp.topics);
   OpCost per_chunk;
@@ -102,11 +98,7 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
       LdaModelBytesFor(exp.language, exp.topics, exp.vocab);
   const double count_bytes = python ? 60.0 : 40.0;
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate(ctx.fault_status(), [&](int iter) -> Status {
     auto params_ptr = std::make_shared<LdaParams>(params);
     std::uint64_t iter_seed = exp.config.seed ^ (0x7DB0u + iter);
 
@@ -142,26 +134,23 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
         },
         OpCost{}, /*out_scale=*/1.0, /*reduce_flops=*/1.0);
 
+    // A failed broadcast or collect keeps the completed iterations'
+    // timings: the figures print the cell as "Fail@iterN".
     ctx.BeginJob("lda:resample+counts", data.num_partitions());
     Status bc = ctx.BroadcastClosure(model_bytes);
     if (!bc.ok()) {
       ctx.EndJob();
-      result.status = bc;  // keep the completed iterations' timings
-      return result;
+      return run.KeepTimings(bc);
     }
     auto rows = reduced.CollectNoJob();
     ctx.EndJob();
-    if (!rows.ok()) {
-      result.status = rows.status();
-      return result;
-    }
+    if (!rows.ok()) return run.KeepTimings(rows.status());
 
     ctx.BeginJob("lda:sample_phi", exp.config.machines);
     Status bc2 = ctx.BroadcastClosure(model_bytes);
     if (!bc2.ok()) {
       ctx.EndJob();
-      result.status = bc2;
-      return result;
+      return run.KeepTimings(bc2);
     }
     LdaCounts total(exp.topics, exp.vocab);
     for (auto& [key, cv] : *rows) total.g[key] += cv.v;
@@ -170,17 +159,12 @@ RunResult RunLdaDataflow(const LdaExperiment& exp,
                          4.0 * t * exp.vocab, 2.0 * t, 1,
                          python ? t * exp.vocab : 0));
     ctx.EndJob();
-
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-    if (!ctx.fault_status().ok()) {
-      return RunResult::Fail(ctx.fault_status(), result.init_seconds);
-    }
-  }
+    return Status::OK();
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) *final_model = params;
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

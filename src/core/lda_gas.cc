@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cell_run.h"
 #include "core/workloads.h"
 #include "gas/engine.h"
 
@@ -176,9 +177,8 @@ class LdaProgram : public gas::GasProgram<VData, Gathered> {
 
 RunResult RunLdaGas(const LdaExperiment& exp,
                     models::LdaParams* final_model) {
-  sim::ClusterSim sim(exp.config.cluster());
-  exp.config.ApplyNoise(&sim);
-  exp.config.ApplyFaults(&sim);
+  CellRun run(exp.config);
+  sim::ClusterSim& sim = run.sim();
   CorpusGen gen(exp.config.seed, exp.vocab, exp.mean_doc_len);
   models::LdaHyper hyper{exp.topics, exp.vocab, 0.5, 0.1};
   const int machines = exp.config.machines;
@@ -235,7 +235,7 @@ RunResult RunLdaGas(const LdaExperiment& exp,
   gas::GasEngine<VData> engine(&sim, &graph);
   engine.SetSnapshotInterval(exp.config.faults.snapshot_interval);
   Status boot = engine.Boot();
-  if (!boot.ok()) return RunResult::Fail(boot);
+  if (!boot.ok()) return run.Fail(boot);
 
   LdaParams params = models::SampleLdaPrior(init_rng, hyper);
   engine.TransformVertices(
@@ -246,9 +246,7 @@ RunResult RunLdaGas(const LdaExperiment& exp,
       },
       0, "init model");
 
-  RunResult result;
-  result.init_seconds = sim.elapsed_seconds();
-  sim.ResetClock();
+  run.EndInit();
 
   WordCost wc = LdaWordCost(sim::Language::kCpp, exp.granularity,
                             exp.topics);
@@ -256,17 +254,12 @@ RunResult RunLdaGas(const LdaExperiment& exp,
   // table per word (~6 gsl calls; calibrated to the paper's 39:27 cell).
   double word_flops = wc.flops + CppCallEquivalentFlops(6.0);
 
-  for (int iter = 0; iter < exp.config.iterations; ++iter) {
-    if (Status hs = exp.config.IterationBoundary(iter); !hs.ok()) {
-      return RunResult::Fail(std::move(hs), result.init_seconds);
-    }
-    double t0 = sim.elapsed_seconds();
+  Status done = run.Iterate([&](int iter) -> Status {
     LdaProgram program(hyper, exp.config.seed, iter, word_flops,
                        words_per_super);
-    Status st = engine.RunSweep<Gathered>(program, "lda iteration");
-    if (!st.ok()) return RunResult::Fail(st, result.init_seconds);
-    result.iteration_seconds.push_back(sim.elapsed_seconds() - t0);
-  }
+    return engine.RunSweep<Gathered>(program, "lda iteration");
+  });
+  if (!done.ok()) return run.Fail(std::move(done));
 
   if (final_model != nullptr) {
     LdaParams out = params;
@@ -276,9 +269,7 @@ RunResult RunLdaGas(const LdaExperiment& exp,
     }
     *final_model = out;
   }
-  result.CaptureFaultStats(sim);
-  result.status = Status::OK();
-  return result;
+  return run.Finish();
 }
 
 }  // namespace mlbench::core

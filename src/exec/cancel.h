@@ -13,7 +13,7 @@
 /// A CancelToken is owned by whoever can abort a run (the experiment
 /// server's session, a deadline watchdog) and observed by the run itself.
 /// Cancellation is *cooperative and deterministic*: drivers poll the token
-/// only at iteration boundaries (via ExperimentConfig::IterationBoundary),
+/// only at iteration boundaries (via core::CellRun::Iterate),
 /// so a cancelled run always stops at a well-defined synchronisation point
 /// with no torn model state, and a run that is never cancelled executes
 /// bit-identically to one with no token attached.

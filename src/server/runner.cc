@@ -1,5 +1,6 @@
 #include "server/runner.h"
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -104,150 +105,101 @@ std::uint64_t DigestVector(std::uint64_t h, const linalg::Vector& v) {
   return h;
 }
 
+}  // namespace
+
 std::uint64_t DigestRunResult(std::uint64_t h, const core::RunResult& r) {
   std::uint8_t code = static_cast<std::uint8_t>(r.status.code());
   h = DigestBytes(h, &code, 1);
   h = DigestF64(h, r.init_seconds);
   for (double t : r.iteration_seconds) h = DigestF64(h, t);
-  h = DigestF64(h, r.peak_machine_bytes);
+  return DigestF64(h, r.peak_machine_bytes);
+}
+
+std::uint64_t DigestModel(std::uint64_t h, const models::GmmParams& m) {
+  h = DigestVector(h, m.pi);
+  for (const auto& mu : m.mu) h = DigestVector(h, mu);
+  for (const auto& s : m.sigma) {
+    h = DigestBytes(h, s.data(), s.rows() * s.cols() * sizeof(double));
+  }
   return h;
 }
 
-// ---- Per-workload dispatch -------------------------------------------------
+std::uint64_t DigestModel(std::uint64_t h, const models::LassoState& m) {
+  h = DigestVector(h, m.beta);
+  h = DigestF64(h, m.sigma2);
+  return DigestVector(h, m.inv_tau2);
+}
 
-RunOutcome RunGmmCell(const ExperimentRequest& req, Workload w,
-                      Platform platform, const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::GmmExperiment exp;
+std::uint64_t DigestModel(std::uint64_t h, const models::HmmParams& m) {
+  h = DigestVector(h, m.delta0);
+  for (const auto& row : m.delta) h = DigestVector(h, row);
+  for (const auto& row : m.psi) h = DigestVector(h, row);
+  return h;
+}
+
+std::uint64_t DigestModel(std::uint64_t h, const models::LdaParams& m) {
+  for (const auto& row : m.phi) h = DigestVector(h, row);
+  return h;
+}
+
+namespace {
+
+// ---- Per-cell dispatch -----------------------------------------------------
+
+template <typename Exp, typename Model>
+using DriverTable = std::array<core::RunResult (*)(const Exp&, Model*), 4>;
+
+// Indexed by Platform.
+constexpr DriverTable<core::GmmExperiment, models::GmmParams> kGmmDrivers = {
+    &core::RunGmmDataflow, &core::RunGmmRelDb, &core::RunGmmGas,
+    &core::RunGmmBsp};
+constexpr DriverTable<core::LassoExperiment, models::LassoState>
+    kLassoDrivers = {&core::RunLassoDataflow, &core::RunLassoRelDb,
+                     &core::RunLassoGas, &core::RunLassoBsp};
+constexpr DriverTable<core::HmmExperiment, models::HmmParams> kHmmDrivers = {
+    &core::RunHmmDataflow, &core::RunHmmRelDb, &core::RunHmmGas,
+    &core::RunHmmBsp};
+constexpr DriverTable<core::LdaExperiment, models::LdaParams> kLdaDrivers = {
+    &core::RunLdaDataflow, &core::RunLdaRelDb, &core::RunLdaGas,
+    &core::RunLdaBsp};
+
+// The language each platform's paper code was written in.
+constexpr std::array<sim::Language, 4> kPlatformLanguage = {
+    sim::Language::kPython, sim::Language::kJava, sim::Language::kCpp,
+    sim::Language::kJava};
+
+// Where the paper's naive implementation is a "Fail", the server runs its
+// super-vertex one: GraphLab GMM, HMM and LDA, and Giraph lasso.
+void UseWorkingShape(Platform p, core::GmmExperiment* exp) {
+  if (p == Platform::kGas) exp->super_vertex = true;
+}
+void UseWorkingShape(Platform p, core::LassoExperiment* exp) {
+  if (p == Platform::kBsp) exp->super_vertex = true;
+}
+void UseWorkingShape(Platform p, core::HmmExperiment* exp) {
+  if (p == Platform::kGas) {
+    exp->granularity = core::TextGranularity::kSuperVertex;
+  }
+}
+void UseWorkingShape(Platform p, core::LdaExperiment* exp) {
+  if (p == Platform::kGas) {
+    exp->granularity = core::TextGranularity::kSuperVertex;
+  }
+}
+
+template <typename Exp, typename Model>
+RunOutcome RunCell(const ExperimentRequest& req, Workload w, Platform p,
+                   Exp exp, const DriverTable<Exp, Model>& drivers,
+                   const exec::CancelToken* cancel,
+                   std::function<void(int, int)> progress) {
   ApplyConfig(req, w, cancel, std::move(progress), &exp.config);
-  exp.config.data.logical_per_machine = 10e6;
-  exp.imputation = w == Workload::kImputation;
-  models::GmmParams model;
+  const auto platform = static_cast<std::size_t>(p);
+  exp.language = kPlatformLanguage[platform];
+  UseWorkingShape(p, &exp);
+  Model model{};
   RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunGmmDataflow(exp, &model);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunGmmRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.super_vertex = true;  // naive GraphLab GMM is a paper "Fail"
-      out.result = core::RunGmmGas(exp, &model);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunGmmBsp(exp, &model);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, model.pi);
-  for (const auto& mu : model.mu) h = DigestVector(h, mu);
-  for (const auto& sigma : model.sigma) {
-    h = DigestBytes(h, sigma.data(),
-                    sigma.rows() * sigma.cols() * sizeof(double));
-  }
-  out.digest = h;
-  return out;
-}
-
-RunOutcome RunLassoCell(const ExperimentRequest& req, Platform platform,
-                        const exec::CancelToken* cancel,
-                        std::function<void(int, int)> progress) {
-  core::LassoExperiment exp;
-  ApplyConfig(req, Workload::kLasso, cancel, std::move(progress),
-              &exp.config);
-  models::LassoState state;
-  RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunLassoDataflow(exp, &state);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLassoRelDb(exp, &state);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      out.result = core::RunLassoGas(exp, &state);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      exp.super_vertex = true;  // Giraph ran only with super vertices
-      out.result = core::RunLassoBsp(exp, &state);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, state.beta);
-  h = DigestF64(h, state.sigma2);
-  h = DigestVector(h, state.inv_tau2);
-  out.digest = h;
-  return out;
-}
-
-RunOutcome RunHmmCell(const ExperimentRequest& req, Platform platform,
-                      const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::HmmExperiment exp;
-  ApplyConfig(req, Workload::kHmm, cancel, std::move(progress), &exp.config);
-  models::HmmParams model;
-  RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunHmmDataflow(exp, &model);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunHmmRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.granularity = core::TextGranularity::kSuperVertex;
-      out.result = core::RunHmmGas(exp, &model);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunHmmBsp(exp, &model);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  h = DigestVector(h, model.delta0);
-  for (const auto& row : model.delta) h = DigestVector(h, row);
-  for (const auto& row : model.psi) h = DigestVector(h, row);
-  out.digest = h;
-  return out;
-}
-
-RunOutcome RunLdaCell(const ExperimentRequest& req, Platform platform,
-                      const exec::CancelToken* cancel,
-                      std::function<void(int, int)> progress) {
-  core::LdaExperiment exp;
-  ApplyConfig(req, Workload::kLda, cancel, std::move(progress), &exp.config);
-  models::LdaParams model;
-  RunOutcome out;
-  switch (platform) {
-    case Platform::kDataflow:
-      out.result = core::RunLdaDataflow(exp, &model);
-      break;
-    case Platform::kRelDb:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLdaRelDb(exp, &model);
-      break;
-    case Platform::kGas:
-      exp.language = sim::Language::kCpp;
-      exp.granularity = core::TextGranularity::kSuperVertex;
-      out.result = core::RunLdaGas(exp, &model);
-      break;
-    case Platform::kBsp:
-      exp.language = sim::Language::kJava;
-      out.result = core::RunLdaBsp(exp, &model);
-      break;
-  }
-  std::uint64_t h = DigestRunResult(kDigestSeed, out.result);
-  for (const auto& row : model.phi) h = DigestVector(h, row);
-  out.digest = h;
+  out.result = drivers[platform](exp, &model);
+  out.digest = DigestModel(DigestRunResult(kDigestSeed, out.result), model);
   return out;
 }
 
@@ -332,14 +284,23 @@ RunOutcome ExecuteExperiment(const ExperimentRequest& req,
   }
   switch (*w) {
     case Workload::kGmm:
-    case Workload::kImputation:
-      return RunGmmCell(req, *w, *p, cancel, std::move(progress));
+      return RunCell(req, *w, *p, core::GmmExperiment{}, kGmmDrivers, cancel,
+                     std::move(progress));
+    case Workload::kImputation: {
+      core::GmmExperiment exp;
+      exp.imputation = true;
+      return RunCell(req, *w, *p, exp, kGmmDrivers, cancel,
+                     std::move(progress));
+    }
     case Workload::kLasso:
-      return RunLassoCell(req, *p, cancel, std::move(progress));
+      return RunCell(req, *w, *p, core::LassoExperiment{}, kLassoDrivers,
+                     cancel, std::move(progress));
     case Workload::kHmm:
-      return RunHmmCell(req, *p, cancel, std::move(progress));
+      return RunCell(req, *w, *p, core::HmmExperiment{}, kHmmDrivers, cancel,
+                     std::move(progress));
     case Workload::kLda:
-      return RunLdaCell(req, *p, cancel, std::move(progress));
+      return RunCell(req, *w, *p, core::LdaExperiment{}, kLdaDrivers, cancel,
+                     std::move(progress));
   }
   RunOutcome out;
   out.result = core::RunResult::Fail(

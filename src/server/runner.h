@@ -5,6 +5,10 @@
 
 #include "core/experiment.h"
 #include "exec/cancel.h"
+#include "models/gmm.h"
+#include "models/hmm.h"
+#include "models/lasso.h"
+#include "models/lda.h"
 #include "server/protocol.h"
 
 /// \file runner.h
@@ -59,5 +63,15 @@ SqlOutcome ExecuteSql(const SqlRequest& req);
 inline constexpr std::uint64_t kDigestSeed = 0xcbf29ce484222325ULL;
 std::uint64_t DigestBytes(std::uint64_t h, const void* data, std::size_t n);
 std::uint64_t DigestF64(std::uint64_t h, double v);
+
+/// Folds a run's status code, init seconds, each iteration's seconds and
+/// peak simulated bytes into `h`.
+std::uint64_t DigestRunResult(std::uint64_t h, const core::RunResult& r);
+
+/// Folds every double of a final model into `h`, in field order.
+std::uint64_t DigestModel(std::uint64_t h, const models::GmmParams& m);
+std::uint64_t DigestModel(std::uint64_t h, const models::LassoState& m);
+std::uint64_t DigestModel(std::uint64_t h, const models::HmmParams& m);
+std::uint64_t DigestModel(std::uint64_t h, const models::LdaParams& m);
 
 }  // namespace mlbench::server

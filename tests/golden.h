@@ -8,10 +8,6 @@
 #include <variant>
 
 #include "core/experiment.h"
-#include "models/gmm.h"
-#include "models/hmm.h"
-#include "models/lasso.h"
-#include "models/lda.h"
 #include "reldb/database.h"
 #include "reldb/rel.h"
 #include "reldb/table.h"
@@ -26,51 +22,13 @@
 
 namespace mlbench::golden {
 
-/// Status code, init seconds, each iteration's seconds, peak bytes and
-/// fault-recovery accounting.
+/// server::DigestRunResult (status code, init seconds, each iteration's
+/// seconds, peak bytes) plus the fault-recovery accounting. Final models
+/// digest with server::DigestModel.
 inline std::uint64_t DigestRun(const core::RunResult& r) {
-  std::uint64_t h = server::kDigestSeed;
-  const auto code = static_cast<std::uint8_t>(r.status.code());
-  h = server::DigestBytes(h, &code, 1);
-  h = server::DigestF64(h, r.init_seconds);
-  for (double t : r.iteration_seconds) h = server::DigestF64(h, t);
-  h = server::DigestF64(h, r.peak_machine_bytes);
+  std::uint64_t h = server::DigestRunResult(server::kDigestSeed, r);
   h = server::DigestF64(h, static_cast<double>(r.recovery_events));
   return server::DigestF64(h, r.recovery_seconds);
-}
-
-inline std::uint64_t DigestDoubles(std::uint64_t h, const double* v,
-                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) h = server::DigestF64(h, v[i]);
-  return h;
-}
-
-inline std::uint64_t DigestModel(std::uint64_t h, const models::GmmParams& m) {
-  h = DigestDoubles(h, m.pi.data(), m.pi.size());
-  for (const auto& mu : m.mu) h = DigestDoubles(h, mu.data(), mu.size());
-  for (const auto& s : m.sigma) {
-    h = DigestDoubles(h, s.data(), s.rows() * s.cols());
-  }
-  return h;
-}
-
-inline std::uint64_t DigestModel(std::uint64_t h, const models::HmmParams& m) {
-  h = DigestDoubles(h, m.delta0.data(), m.delta0.size());
-  for (const auto& row : m.delta) h = DigestDoubles(h, row.data(), row.size());
-  for (const auto& row : m.psi) h = DigestDoubles(h, row.data(), row.size());
-  return h;
-}
-
-inline std::uint64_t DigestModel(std::uint64_t h, const models::LdaParams& m) {
-  for (const auto& row : m.phi) h = DigestDoubles(h, row.data(), row.size());
-  return h;
-}
-
-inline std::uint64_t DigestModel(std::uint64_t h,
-                                 const models::LassoState& m) {
-  h = DigestDoubles(h, m.beta.data(), m.beta.size());
-  h = server::DigestF64(h, m.sigma2);
-  return DigestDoubles(h, m.inv_tau2.data(), m.inv_tau2.size());
 }
 
 /// Column names, scale, then every value tagged with its type (an int64 1
