@@ -4,6 +4,7 @@
 // needs atomics to observe the pool from outside
 #include <atomic>
 #include <cstdint>
+#include <ostream>
 // mlint: allow(raw-thread) — thread ids identify the inline fast path
 #include <thread>
 #include <vector>
@@ -391,6 +392,10 @@ struct GmmDeterminismCase {
   GmmRunner runner;
   bool super;
 };
+
+// Print only the name, so the test name that CTest discovers from
+// --gtest_list_tests does not embed pointer bytes that move per build.
+void PrintTo(const GmmDeterminismCase& c, std::ostream* os) { *os << c.name; }
 
 class GmmThreadDeterminism
     : public ::testing::TestWithParam<GmmDeterminismCase> {

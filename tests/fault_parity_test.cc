@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,10 @@ struct Golden {
   double mu0;
   double pi0;
 };
+
+// Print only the name, so the test name that CTest discovers from
+// --gtest_list_tests does not embed pointer bytes that move per build.
+void PrintTo(const Golden& g, std::ostream* os) { *os << g.name; }
 
 const Golden kGoldens[] = {
     {"giraph", &core::RunGmmBsp, false, 16.73562174935179, 1430211200.0000007,
